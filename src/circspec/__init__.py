@@ -41,7 +41,9 @@ from .operators import (
     assemble_regulator,
     assemble_sie,
     choose_zeta,
+    ode_matvec,
     operator_norm_weighted,
+    sie_matvec,
 )
 from .rhp import RHSolution, evaluate_phi, jump_residual, solve_rhp, winding_number
 from .spectrum import (
@@ -79,7 +81,9 @@ __all__ = [
     "assemble_regulator",
     "assemble_sie",
     "choose_zeta",
+    "ode_matvec",
     "operator_norm_weighted",
+    "sie_matvec",
     "SolveError",
     "solve_ode",
     "exact_constant_solve",

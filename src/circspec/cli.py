@@ -2,7 +2,8 @@
 
 Each command loads a JSON configuration, runs the experiment, writes the
 CSV report, and prints a short summary.  Exit codes: 0 on success, 1 on a
-solver failure, 2 on a configuration error.
+solver failure, 2 on a configuration error, including a report that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ def _run(argv, allowed: tuple | None, prog: str) -> int:
         print(f"{prog}: solver failure: {exc}", file=sys.stderr)
         return 1
 
-    emit_csv(report, cfg.output_path)
+    try:
+        emit_csv(report, cfg.output_path)
+    except OSError as exc:
+        print(f"{prog}: configuration error: {exc}", file=sys.stderr)
+        return 2
     for n, e in report.rows:
         print(f"N={n} error={e:.6e}")
     slope = "undefined" if report.fitted_slope is None else f"{report.fitted_slope:.4f}"

@@ -6,13 +6,16 @@ Each computes a reference at N_ref, sweeps the window sizes in N_list,
 measures errors (a weighted coefficient norm against the reference for the
 solvers, the largest matched eigenvalue distance under a modulus cap for
 the spectra), and fits a log-log slope.  Runs are deterministic: the same
-configuration yields byte-identical CSV output.
+configuration at the same BLAS thread count yields byte-identical CSV
+output.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -21,7 +24,10 @@ from . import problems
 from .fourier import BandWindow, diff_norm
 from .linsolve import SolveError
 from .ode import solve_ode
-from .rhp import solve_rhp, winding_number
+from .operators import check_mode
+from .rhp import solve_rhp
+# not called here: bench/spans.py times winding_number where this module looks it up
+from .rhp import winding_number  # noqa: F401
 from .spectrum import eigen_distances, eigenvalues_self_adjoint
 
 __all__ = [
@@ -67,9 +73,16 @@ class ConfigError(ValueError):
 
 
 def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or value != int(value):
-        raise TypeError(f"{name} entries must be integers, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value) \
+            or value != int(value):
+        raise ConfigError(f"{name} entries must be integers, got {value!r}")
     return int(value)
+
+
+def _as_float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -87,17 +100,23 @@ class ExperimentConfig:
     g_scale: float = 1.0
 
     def __post_init__(self):
+        """Validate every field; the single check on configuration input."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
-        if self.mode not in ("finite_section", "collocation"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+        try:
+            check_mode(self.mode)
+        except ValueError as exc:
+            raise ConfigError(f"unknown mode {self.mode!r}") from exc
         if self.experiment.startswith("spectrum") and self.mode != "finite_section":
             raise ConfigError("spectrum experiments support only the finite_section mode")
-        try:
-            self.N_list = [_as_int(n, "N_list") for n in self.N_list]
-            self.N_ref = _as_int(self.N_ref, "N_ref")
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        if not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        for name in ("alpha", "epsilon", "s", "t", "lambda_cap", "g_scale"):
+            setattr(self, name, _as_float(getattr(self, name), name))
+        if not isinstance(self.N_list, (list, tuple)):
+            raise ConfigError(f"N_list must be a list of integers, got {self.N_list!r}")
+        self.N_list = [_as_int(n, "N_list") for n in self.N_list]
+        self.N_ref = _as_int(self.N_ref, "N_ref")
         if not self.N_list:
             raise ConfigError("N_list must be nonempty")
         if any(n < 1 for n in self.N_list) or any(b <= a for a, b in zip(self.N_list, self.N_list[1:])):
@@ -106,6 +125,8 @@ class ExperimentConfig:
             raise ConfigError(f"N_ref={self.N_ref} must exceed max(N_list)={max(self.N_list)}")
         if self.alpha <= 0.5:
             raise ConfigError("alpha must exceed 1/2")
+        if self.lambda_cap <= 0.0:
+            raise ConfigError("lambda_cap must be positive")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -132,7 +153,7 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -178,8 +199,8 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
         rows = _run_ode3(cfg)
         eigen_rows, notes = None, []
     elif cfg.experiment == "rhp":
-        rows, notes = _run_rhp(cfg)
-        eigen_rows = None
+        rows = _run_rhp(cfg)
+        eigen_rows, notes = None, []
     else:
         rows, eigen_rows, notes = _run_spectrum(cfg)
 
@@ -208,13 +229,9 @@ def _run_ode3(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def _run_rhp(cfg: ExperimentConfig):
+def _run_rhp(cfg: ExperimentConfig) -> list:
+    # solve_rhp rejects a jump of nonzero winding, naming the winding number
     jump = problems.rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref)
-    notes = []
-    wind = winding_number(jump)
-    if wind != 0:
-        notes.append(f"warning: jump function winding number is {wind}, solvability not guaranteed")
-        log.warning("jump function winding number is %d", wind)
     try:
         ref = solve_rhp(jump, BandWindow(cfg.N_ref), mode=cfg.mode).u
     except SolveError as exc:
@@ -226,7 +243,7 @@ def _run_rhp(cfg: ExperimentConfig):
         except SolveError as exc:
             raise SolveError(f"rhp failed at N={n}: {exc}") from exc
         rows.append((n, diff_norm(ref, u, cfg.s)))
-    return rows, notes
+    return rows
 
 
 def _run_spectrum(cfg: ExperimentConfig):

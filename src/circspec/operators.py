@@ -1,19 +1,23 @@
-"""Dense matrix assembly for operators compressed to a Fourier mode window.
+"""Operators compressed to a Fourier mode window, applied matrix-free or assembled densely.
 
-Every operator the solvers manipulate is represented here as a dense complex
-matrix over the modes of a BandWindow: diagonal differential symbols,
-Toeplitz multiplication, the Cauchy projectors, diagonal resolvent-type
-regulators, Hankel-type couplings from negative to nonnegative modes, and
-the finite-section / collocation compressions of the full operators.
+The solvers apply the finite-section / collocation compressions of the
+differential operators and of the singular-integral operator matrix-free
+(ode_matvec, sie_matvec): Toeplitz products through a circulant embedding,
+grid products through the FFT, O(N) storage and O(N log N) work per product.
 
-Row and column index i of a matrix corresponds to mode i - n_minus, the same
-map on both sides.  Matrices stay dense: the experiments run at N <= ~2001,
-where O(N^2) storage and O(N^3) factorizations are unproblematic.
+Dense assembly over the modes of a BandWindow is kept for the eigensolver
+and as the reference the matrix-free products are tested against: diagonal
+differential symbols, Toeplitz multiplication, the Cauchy projectors,
+diagonal resolvent-type regulators, Hankel-type couplings from negative to
+nonnegative modes, and the same compressions as dense matrices.  Row and
+column index i of a matrix corresponds to mode i - n_minus, the same map on
+both sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,9 +37,17 @@ __all__ = [
     "assemble_sie",
     "assemble_hankel",
     "operator_norm_weighted",
+    "ode_matvec",
+    "sie_matvec",
 ]
 
 MODES = ("finite_section", "collocation")
+
+
+def check_mode(mode) -> None:
+    """Raise ValueError unless mode names one of the two compressions."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -103,11 +115,13 @@ class JumpSpec:
     """Scalar jump function on the unit circle with a certified lower bound.
 
     min_modulus is the minimum of |g| over a fine evaluation grid -- the
-    computable surrogate for nonvanishing of g on the whole circle.
+    computable surrogate for nonvanishing of g on the whole circle -- and
+    winding is the winding number of g about the origin on the same grid.
     """
 
     g: CoeffVec
     min_modulus: float
+    winding: int
 
     @classmethod
     def from_coeffs(cls, g: CoeffVec, grid_factor: int = 16) -> "JumpSpec":
@@ -116,22 +130,21 @@ class JumpSpec:
         mm = float(np.abs(vals).min())
         if mm <= 0.0:
             raise ValueError("jump function vanishes on the evaluation grid")
-        return cls(g=g, min_modulus=mm)
+        return cls(g=g, min_modulus=mm, winding=_winding(vals))
+
+
+def _winding(vals: np.ndarray) -> int:
+    """Winding about the origin of a closed curve sampled finely, from its phase increments."""
+    increments = np.angle(np.roll(vals, -1) / vals)
+    return int(np.rint(increments.sum() / (2.0 * np.pi)))
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix over the modes of a window.
-
-    dom_order and codom_order record which weighted norms the operator is
-    meant to act between; they are bookkeeping for operator_norm_weighted
-    and do not affect the entries.
-    """
+    """Dense complex matrix over the modes of a window."""
 
     window: BandWindow
     entries: np.ndarray
-    dom_order: float = 0.0
-    codom_order: float = 0.0
 
     def __post_init__(self):
         e = np.array(self.entries, dtype=complex)
@@ -144,13 +157,15 @@ class OperatorMatrix:
 
 def assemble_L0(spec: DiffOpSpec, w: BandWindow) -> OperatorMatrix:
     """Diagonal matrix of the constant-part symbol on the window."""
-    return OperatorMatrix(w, np.diag(spec.symbol(w.modes())), dom_order=float(spec.k), codom_order=0.0)
+    return OperatorMatrix(w, np.diag(spec.symbol(w.modes())))
 
 
 def _toeplitz_entries(h: CoeffVec, w: BandWindow) -> np.ndarray:
-    modes = w.modes()
-    d = modes[:, None] - modes[None, :]
-    return np.asarray(h.get(d))
+    # imported here, so that the matrix-free solvers never pay scipy's import time
+    from scipy.linalg import toeplitz
+
+    n = np.arange(w.N)
+    return toeplitz(h.get(n), h.get(-n))
 
 
 def assemble_mult_toeplitz(h: CoeffVec, w: BandWindow) -> OperatorMatrix:
@@ -216,7 +231,7 @@ def assemble_regulator(spec: DiffOpSpec, zeta: complex, w: BandWindow) -> Operat
     if np.any(bad):
         m = int(w.modes()[np.argmax(bad)])
         raise ValueError(f"shift {zeta} collides with the symbol value at mode {m}")
-    return OperatorMatrix(w, np.diag(1.0 / gaps), dom_order=0.0, codom_order=float(spec.k))
+    return OperatorMatrix(w, np.diag(1.0 / gaps))
 
 
 def _variable_part_toeplitz(spec: DiffOpSpec, w: BandWindow) -> np.ndarray:
@@ -236,7 +251,7 @@ def assemble_finite_section_ode(spec: DiffOpSpec, w: BandWindow) -> OperatorMatr
     a_j times the diagonal of (i m)^j.
     """
     entries = np.diag(spec.symbol(w.modes())) + _variable_part_toeplitz(spec, w)
-    return OperatorMatrix(w, entries, dom_order=float(spec.k), codom_order=0.0)
+    return OperatorMatrix(w, entries)
 
 
 def _interpolate_columns(samples: np.ndarray, w: BandWindow) -> np.ndarray:
@@ -257,13 +272,13 @@ def assemble_collocation_ode(spec: DiffOpSpec, w: BandWindow) -> OperatorMatrix:
     modes = w.modes()
     diag = np.diag(spec.symbol(modes))
     if not spec.var_coeffs:
-        return OperatorMatrix(w, diag, dom_order=float(spec.k), codom_order=0.0)
+        return OperatorMatrix(w, diag)
     grids = np.stack([evaluate_on_grid(a, w.N) for a in spec.var_coeffs], axis=1)
     powers = (1j * modes[None, :]) ** np.arange(len(spec.var_coeffs))[:, None]
     pointwise = grids @ powers  # (N, N): column m holds sum_j a_j(x) (i m)^j
     phases = np.exp(1j * np.outer(w.grid(), modes))
     cols = _interpolate_columns(pointwise * phases, w)
-    return OperatorMatrix(w, diag + cols, dom_order=float(spec.k), codom_order=0.0)
+    return OperatorMatrix(w, diag + cols)
 
 
 def assemble_sie(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") -> OperatorMatrix:
@@ -273,8 +288,7 @@ def assemble_sie(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") ->
     columns on the negative modes); collocation multiplies by g-1 on the
     N-point grid and interpolates back, so out-of-window products fold in.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     modes = w.modes()
     h = _jump_minus_one(jump)
     entries = np.eye(w.N, dtype=complex)
@@ -293,6 +307,53 @@ def _jump_minus_one(jump: JumpSpec) -> CoeffVec:
     c = np.array(g.coeffs)
     c[-g.j_min] -= 1.0
     return CoeffVec(g.j_min, c)
+
+
+def _multiplication(coeffs: tuple, w: BandWindow, mode: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free v -> sum_j compress(a_j v_j) for a (len(coeffs), N) stack v.
+
+    finite_section applies each Toeplitz matrix through a circulant embedding
+    of length >= 2N-1 (Chan & Ng, SIAM Rev. 1996), whose symbol is one FFT of
+    a_j on modes -(N-1)..N-1; collocation multiplies by a_j on the N-point
+    grid and interpolates back.  Both cost one batched FFT each way per
+    product.
+    """
+    check_mode(mode)
+    n = w.N
+    if mode == "finite_section":
+        size = 1 << (2 * n - 2).bit_length()
+        cols = np.zeros((len(coeffs), size), dtype=complex)
+        for col, a in zip(cols, coeffs):
+            t = a.get(np.arange(1 - n, n))
+            col[:n] = t[n - 1:]
+            col[size - n + 1:] = t[:n - 1]
+        symbols = np.fft.fft(cols, axis=1)
+        return lambda v: np.fft.ifft((symbols * np.fft.fft(v, size, axis=1)).sum(axis=0))[:n]
+    # window slot i holds mode i - n_minus, which sits at FFT slot (i - n_minus) mod n
+    to_window = w.modes() % n
+    to_fft = np.argsort(to_window)
+    samples = np.stack([evaluate_on_grid(a, n) for a in coeffs])
+    return lambda v: np.fft.fft((samples * np.fft.ifft(v[:, to_fft], axis=1)).sum(axis=0))[to_window]
+
+
+def ode_matvec(spec: DiffOpSpec, w: BandWindow, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free x -> A x for the matrix A that assemble_finite_section_ode or
+    assemble_collocation_ode builds: sym x + sum_j compress(a_j (i m)^j x)."""
+    modes = w.modes()
+    sym = spec.symbol(modes)
+    if not spec.var_coeffs:
+        check_mode(mode)
+        return lambda x: sym * x
+    powers = (1j * modes) ** np.arange(len(spec.var_coeffs))[:, None]
+    mult = _multiplication(spec.var_coeffs, w, mode)
+    return lambda x: sym * x + mult(powers * x)
+
+
+def sie_matvec(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free x -> A x for the matrix A that assemble_sie builds: x - compress((g-1) C- x)."""
+    neg = (w.modes() < 0)[None, :]
+    mult = _multiplication((_jump_minus_one(jump),), w, mode)
+    return lambda x: x + mult(neg * x)
 
 
 def assemble_hankel(h: CoeffVec, w: BandWindow) -> OperatorMatrix:

@@ -2,9 +2,10 @@
 
 A sectionally analytic phi with phi(inf) = 1 and boundary jump
 phi+ = phi- g is sought as phi = 1 + Cauchy transform of a density u.  The
-density solves C+ u - (C- u) g = g - 1, which is compressed to a window and
-solved densely.  phi is reconstructed off the circle from truncated Laurent
-sums of u.
+density solves C+ u - (C- u) g = g - 1, which is compressed to a window,
+applied matrix-free and solved by GMRES; the operator is already identity
+plus compact, so no regulator is needed.  phi is reconstructed off the
+circle from truncated Laurent sums of u.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
-from .linsolve import solve_checked
-from .operators import MODES, JumpSpec, assemble_sie, _jump_minus_one
+from .linsolve import SolveError, solve_checked
+from .operators import JumpSpec, _jump_minus_one, _winding, check_mode, sie_matvec
+# not called here: bench/spans.py times the dense assembler where this module looks it up
+from .operators import assemble_sie  # noqa: F401
 
 __all__ = ["RHSolution", "solve_rhp", "evaluate_phi", "jump_residual", "winding_number"]
 
@@ -33,38 +36,44 @@ def solve_rhp(jump: JumpSpec, w: BandWindow, mode: str = "finite_section",
     """Solve the compressed singular integral equation for the density u.
 
     The right-hand side is g - 1, truncated to the window (finite_section)
-    or interpolated from grid samples (collocation).
+    or interpolated from grid samples (collocation).  A jump with nonzero
+    winding gives an operator of nonzero Fredholm index, which has no
+    unique solution; it is rejected before solving.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     if jump.min_modulus <= 0.0:
         raise ValueError("jump function must be bounded away from zero")
-    a = assemble_sie(jump, w, mode)
+    context = f"{mode} SIE solve at N={w.N}"
+    if jump.winding != 0:
+        raise SolveError(
+            f"{context}: condition estimate inf (jump winding number {jump.winding}, "
+            "nonzero Fredholm index)"
+        )
     h = _jump_minus_one(jump)
     if mode == "finite_section":
         rhs = project(h, w).coeffs
     else:
         rhs = interpolate(evaluate_on_grid(h, w.N)).coeffs
-    x = solve_checked(a.entries, rhs, cond_cap=cond_cap, context=f"{mode} SIE solve at N={w.N}")
+    x = solve_checked(sie_matvec(jump, w, mode), rhs, cond_cap=cond_cap, context=context)
     return RHSolution(u=CoeffVec(-w.n_minus, x), window=w)
 
 
-def _plus_sum(u: CoeffVec, z: np.ndarray) -> np.ndarray:
+def _power_series(c: np.ndarray, w: complex) -> complex:
+    """sum_k c_k w^k, with the powers 1, w, w^2, ... built by cumulative products."""
+    if len(c) == 0:
+        return 0j
+    return complex(c @ np.cumprod(np.append(1.0, np.full(len(c) - 1, w))))
+
+
+def _plus_sum(u: CoeffVec, z: complex) -> complex:
     """sum_{j>=0} u_j z^j over u's window."""
-    out = np.zeros(np.shape(z), dtype=complex)
-    for j, c in zip(u.modes(), u.coeffs):
-        if j >= 0 and c != 0:
-            out = out + c * z ** int(j)
-    return out
+    return _power_series(u.get(np.arange(0, u.j_max + 1)), z)
 
 
-def _minus_sum(u: CoeffVec, z: np.ndarray) -> np.ndarray:
-    """sum_{j<=-1} u_j z^j over u's window."""
-    out = np.zeros(np.shape(z), dtype=complex)
-    for j, c in zip(u.modes(), u.coeffs):
-        if j < 0 and c != 0:
-            out = out + c * z ** int(j)
-    return out
+def _minus_sum(u: CoeffVec, z: complex) -> complex:
+    """sum_{j<=-1} u_j z^j over u's window, a power series in 1/z."""
+    w = 1.0 / z
+    return w * _power_series(u.get(np.arange(-1, min(u.j_min, 0) - 1, -1)), w)
 
 
 def evaluate_phi(sol: RHSolution, z: complex, side: str | None = None) -> complex:
@@ -79,13 +88,13 @@ def evaluate_phi(sol: RHSolution, z: complex, side: str | None = None) -> comple
     on_circle = abs(r - 1.0) <= 1e-14
     if on_circle:
         if side == "plus":
-            return 1.0 + complex(_plus_sum(sol.u, np.asarray(zc)))
+            return 1.0 + _plus_sum(sol.u, zc)
         if side == "minus":
-            return 1.0 - complex(_minus_sum(sol.u, np.asarray(zc)))
+            return 1.0 - _minus_sum(sol.u, zc)
         raise ValueError("evaluation on the circle requires side='plus' or side='minus'")
     if r < 1.0:
-        return 1.0 + complex(_plus_sum(sol.u, np.asarray(zc)))
-    return 1.0 - complex(_minus_sum(sol.u, np.asarray(zc)))
+        return 1.0 + _plus_sum(sol.u, zc)
+    return 1.0 - _minus_sum(sol.u, zc)
 
 
 def jump_residual(sol: RHSolution, jump: JumpSpec, m: int) -> float:
@@ -106,11 +115,11 @@ def winding_number(jump: JumpSpec, grid_factor: int = 16) -> int:
     """Winding of g around the origin, from phase increments on a fine grid.
 
     Nonzero winding rules out solutions with phi(inf) = 1 of the assumed
-    form, so the harness warns before solving.
+    form.  JumpSpec.from_coeffs records the same number on the same default
+    grid, and solve_rhp rejects a jump whose recorded winding is nonzero.
     """
     npts = max(grid_factor * len(jump.g.coeffs), 64)
     vals = evaluate_on_grid(jump.g, npts)
     if np.any(np.abs(vals) == 0.0):
         raise ValueError("jump function vanishes on the winding grid")
-    increments = np.angle(np.roll(vals, -1) / vals)
-    return int(np.rint(increments.sum() / (2.0 * np.pi)))
+    return _winding(vals)

@@ -239,3 +239,18 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main_convergence(["--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"alpha": float("nan")},
+        {"s": "abc"},
+        {"N_list": "abc"},
+        {"N_ref": float("inf")},
+        {"lambda_cap": float("nan")},
+        {"output_path": "missing-dir/out.csv"},
+    ], ids=["alpha-nan", "s-string", "N_list-string", "N_ref-inf", "lambda_cap-nan", "unwritable-output"])
+    def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, override):
+        monkeypatch.chdir(tmp_path)
+        raw = {"experiment": "ode3", "N_list": [16, 24], "N_ref": 65, "output_path": "o.csv", **override}
+        cfg = self.write_cfg(tmp_path, raw)  # json writes NaN and Infinity literals
+        assert main_convergence(["--config", cfg]) == 2
+        assert "configuration error" in capsys.readouterr().err

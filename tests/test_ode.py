@@ -8,8 +8,13 @@ from circspec import (
     CoeffVec,
     DiffOpSpec,
     SolveError,
+    assemble_collocation_ode,
+    assemble_finite_section_ode,
     diff_norm,
+    evaluate_on_grid,
     exact_constant_solve,
+    interpolate,
+    project,
     solve_ode,
     sobolev_norm,
 )
@@ -153,3 +158,30 @@ class TestConvergenceBehavior:
         assert errs[0] > errs[1] > errs[2]
         # fourth-order-ish decay: halving the resolution costs ~2^4
         assert errs[0] / errs[2] > 2.0 ** 6
+
+
+class TestMatrixFreeSolve:
+    @pytest.mark.parametrize("n", [8, 33, 128, 401])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_agrees_with_dense_lu(self, n, mode):
+        spec, rhs = third_order_ode(1.51, 401)
+        w = BandWindow(n)
+        if mode == "finite_section":
+            a = assemble_finite_section_ode(spec, w).entries
+            f = project(rhs, w).coeffs
+        else:
+            a = assemble_collocation_ode(spec, w).entries
+            f = interpolate(evaluate_on_grid(rhs, n)).coeffs
+        dense = np.linalg.solve(a, f)
+        u = solve_ode(spec, rhs, w, mode=mode).coeffs
+        assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_reference_beyond_dense_reach(self):
+        # a dense matrix at this size would take 4.3 GB.  The gate still
+        # measures the unregulated matrix, whose condition grows like N^3 and
+        # passes 1e12 here, so the cap is raised for this well-posed problem
+        n = 2 ** 14 + 1
+        spec, rhs = third_order_ode(1.51, n)
+        u = solve_ode(spec, rhs, BandWindow(n), cond_cap=1e13)
+        coarse = solve_ode(spec, rhs, BandWindow(401))
+        assert diff_norm(u, coarse, 0.0) <= 1e-6

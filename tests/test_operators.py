@@ -17,8 +17,10 @@ from circspec import (
     assemble_regulator,
     assemble_sie,
     choose_zeta,
+    ode_matvec,
     operator_norm_weighted,
     project,
+    sie_matvec,
     synth_powerlaw,
 )
 from circspec.operators import OperatorMatrix
@@ -451,3 +453,61 @@ class TestToeplitzInverseStability:
             t = assemble_mult_toeplitz(g, BandWindow(n)).entries
             norms[n] = 1.0 / np.linalg.svd(t, compute_uv=False)[-1]
         assert abs(norms[200] - norms[400]) / norms[400] < 0.10
+
+
+class TestMatrixFree:
+    """ode_matvec and sie_matvec apply exactly the matrices the dense assemblers build."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 64])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_ode_matches_dense(self, n, mode):
+        rng = np.random.default_rng(83 + n)
+        # two variable orders, with coefficient windows wider than the small windows
+        spec = DiffOpSpec.from_orders(
+            {3: -1.0, 0: 0.5},
+            var=(random_coeffvec(rng, 20, 0.3), random_coeffvec(rng, 5, 0.1)),
+        )
+        w = BandWindow(n)
+        assemble = assemble_finite_section_ode if mode == "finite_section" else assemble_collocation_ode
+        a = assemble(spec, w).entries
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = a @ x
+        got = ode_matvec(spec, w, mode)(x)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(np.abs(a) @ np.abs(x))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 64])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_sie_matches_dense(self, n, mode):
+        rng = np.random.default_rng(89 + n)
+        c = 0.2 * (rng.standard_normal(41) + 1j * rng.standard_normal(41))
+        c[20] += 1.0
+        jump = JumpSpec.from_coeffs(CoeffVec(-20, c))
+        w = BandWindow(n)
+        a = assemble_sie(jump, w, mode).entries
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = sie_matvec(jump, w, mode)(x)
+        assert np.linalg.norm(got - a @ x) <= 1e-13 * np.linalg.norm(np.abs(a) @ np.abs(x))
+
+    def test_constant_operator_is_diagonal(self):
+        spec = DiffOpSpec.from_orders({2: -1.0, 0: 1.0})
+        w = BandWindow(9)
+        x = np.arange(9) + 1j
+        for mode in ("finite_section", "collocation"):
+            assert np.array_equal(ode_matvec(spec, w, mode)(x), spec.symbol(w.modes()) * x)
+
+    def test_unknown_mode_rejected(self):
+        spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))
+        jump = JumpSpec.from_coeffs(CoeffVec.from_dict({0: 1.0}))
+        with pytest.raises(ValueError, match="mode"):
+            ode_matvec(spec, BandWindow(8), "nodal")
+        with pytest.raises(ValueError, match="mode"):
+            sie_matvec(jump, BandWindow(8), "nodal")
+
+
+class TestJumpWinding:
+    @pytest.mark.parametrize("coeffs, expected", [
+        ({0: 1.0, 1: 0.3}, 0), ({1: 1.0}, 1), ({-1: 1.0, 0: 0.2}, -1), ({-2: 1.0}, -2), ({2: 1.0, 0: 0.5}, 2),
+    ])
+    def test_recorded_at_construction(self, coeffs, expected):
+        jump = JumpSpec.from_coeffs(CoeffVec.from_dict(coeffs))
+        assert jump.winding == expected

@@ -8,9 +8,13 @@ from circspec import (
     CoeffVec,
     JumpSpec,
     SolveError,
+    assemble_sie,
     diff_norm,
+    evaluate_on_grid,
     evaluate_phi,
+    interpolate,
     jump_residual,
+    project,
     solve_rhp,
     winding_number,
 )
@@ -180,3 +184,41 @@ class TestRateBehavior:
             gaps.append(diff_norm(u_fs, u_co, 0.25))
         slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
         assert slope <= (0.25 - 1.0) + 0.3
+
+
+class TestMatrixFreeSolve:
+    @pytest.mark.parametrize("n", [8, 32, 129, 400])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_agrees_with_dense_lu(self, n, mode):
+        jump = rhp_jump(1.51, 0.01, 400)
+        w = BandWindow(n)
+        c = np.array(jump.g.coeffs)
+        c[-jump.g.j_min] -= 1.0  # g - 1
+        h = CoeffVec(jump.g.j_min, c)
+        f = project(h, w).coeffs if mode == "finite_section" else interpolate(evaluate_on_grid(h, n)).coeffs
+        dense = np.linalg.solve(assemble_sie(jump, w, mode).entries, f)
+        u = solve_rhp(jump, w, mode=mode).u.coeffs
+        assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("coeffs", [{1: 1.0}, {-1: 1.0, 0: 0.3}, {-2: 1.0}])
+    @pytest.mark.parametrize("n", [8, 33, 256])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_nonzero_winding_rejected(self, coeffs, n, mode):
+        jump = JumpSpec.from_coeffs(CoeffVec.from_dict(coeffs))
+        with pytest.raises(SolveError, match="condition estimate inf.*Fredholm index"):
+            solve_rhp(jump, BandWindow(n), mode=mode)
+
+
+class TestEvaluatePhiAgainstLoop:
+    def test_matches_mode_by_mode_sum(self):
+        # the direct sum of u_j z^j, one mode at a time, is the reference
+        rng = np.random.default_rng(97)
+        sol = solve_rhp(rhp_jump(1.51, 0.01, 257), BandWindow(256))
+        u = sol.u
+        for z in np.concatenate([rng.uniform(0.0, 0.95, 20), rng.uniform(1.05, 4.0, 20)]) \
+                * np.exp(2j * np.pi * rng.uniform(size=40)):
+            inside = abs(z) < 1.0
+            terms = [c * complex(z) ** int(j) for j, c in zip(u.modes(), u.coeffs) if (j >= 0) == inside]
+            want = 1.0 + sum(terms) if inside else 1.0 - sum(terms)
+            size = 1.0 + sum(abs(t) for t in terms)
+            assert abs(evaluate_phi(sol, z) - want) <= 1e-13 * size
