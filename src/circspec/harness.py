@@ -48,6 +48,11 @@ EXPERIMENTS = ("ode3", "spectrum2", "spectrum3", "rhp")
 # fits, with the exclusion logged per row
 ERROR_FLOOR = 1e-12
 
+# largest accepted N_ref: solver windows are O(N) in memory, spectrum
+# windows build a dense N_ref x N_ref matrix
+MAX_SOLVER_N = 2 ** 20
+MAX_SPECTRUM_N = 4096
+
 _DEFAULTS: dict[str, dict] = {
     "ode3": dict(alpha=1.51, epsilon=0.0, s=0.0, t=1.0,
                  N_list=list(range(40, 401, 20)), N_ref=2001,
@@ -72,15 +77,26 @@ class ConfigError(ValueError):
     """Raised for malformed experiment configurations."""
 
 
+def _is_finite_real(value) -> bool:
+    """A real number, not a bool, that a float holds finitely (json ints can be larger)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value) \
-            or value != int(value):
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if not _is_finite_real(value) or value != int(value):
         raise ConfigError(f"{name} entries must be integers, got {value!r}")
     return int(value)
 
 
 def _as_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    if not _is_finite_real(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
@@ -123,6 +139,9 @@ class ExperimentConfig:
             raise ConfigError("N_list must be ascending positive integers")
         if self.N_ref <= max(self.N_list):
             raise ConfigError(f"N_ref={self.N_ref} must exceed max(N_list)={max(self.N_list)}")
+        n_max = MAX_SPECTRUM_N if self.experiment.startswith("spectrum") else MAX_SOLVER_N
+        if self.N_ref > n_max:
+            raise ConfigError(f"N_ref={self.N_ref} exceeds the largest {self.experiment} window {n_max}")
         if self.alpha <= 0.5:
             raise ConfigError("alpha must exceed 1/2")
         if self.lambda_cap <= 0.0:
@@ -196,10 +215,13 @@ def fit_slope(rows, floor: float = ERROR_FLOOR) -> float:
 def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     """Run one configured convergence experiment; deterministic given cfg."""
     if cfg.experiment == "ode3":
-        rows = _run_ode3(cfg)
+        spec, rhs = problems.third_order_ode(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale)
+        rows = _sweep("ode3", lambda n: solve_ode(spec, rhs, BandWindow(n), mode=cfg.mode), cfg)
         eigen_rows, notes = None, []
     elif cfg.experiment == "rhp":
-        rows = _run_rhp(cfg)
+        # solve_rhp rejects a jump of nonzero winding, naming the winding number
+        jump = problems.rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref)
+        rows = _sweep("rhp", lambda n: solve_rhp(jump, BandWindow(n), mode=cfg.mode).u, cfg)
         eigen_rows, notes = None, []
     else:
         rows, eigen_rows, notes = _run_spectrum(cfg)
@@ -213,37 +235,16 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
                              excluded=excluded, eigen_rows=eigen_rows, notes=notes)
 
 
-def _run_ode3(cfg: ExperimentConfig) -> list:
-    spec, rhs = problems.third_order_ode(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale)
-    try:
-        ref = solve_ode(spec, rhs, BandWindow(cfg.N_ref), mode=cfg.mode)
-    except SolveError as exc:
-        raise SolveError(f"ode3 reference failed at N={cfg.N_ref}: {exc}") from exc
-    rows = []
-    for n in cfg.N_list:
+def _sweep(name: str, solve_at_N, cfg: ExperimentConfig) -> list:
+    """Solve at N_ref, then at each N in N_list; rows of (N, distance to the reference)."""
+    def solve(n: int, what: str):
         try:
-            u = solve_ode(spec, rhs, BandWindow(n), mode=cfg.mode)
+            return solve_at_N(n)
         except SolveError as exc:
-            raise SolveError(f"ode3 failed at N={n}: {exc}") from exc
-        rows.append((n, diff_norm(ref, u, cfg.s)))
-    return rows
+            raise SolveError(f"{what} failed at N={n}: {exc}") from exc
 
-
-def _run_rhp(cfg: ExperimentConfig) -> list:
-    # solve_rhp rejects a jump of nonzero winding, naming the winding number
-    jump = problems.rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref)
-    try:
-        ref = solve_rhp(jump, BandWindow(cfg.N_ref), mode=cfg.mode).u
-    except SolveError as exc:
-        raise SolveError(f"rhp reference failed at N={cfg.N_ref}: {exc}") from exc
-    rows = []
-    for n in cfg.N_list:
-        try:
-            u = solve_rhp(jump, BandWindow(n), mode=cfg.mode).u
-        except SolveError as exc:
-            raise SolveError(f"rhp failed at N={n}: {exc}") from exc
-        rows.append((n, diff_norm(ref, u, cfg.s)))
-    return rows
+    ref = solve(cfg.N_ref, f"{name} reference")
+    return [(n, diff_norm(ref, solve(n, name), cfg.s)) for n in cfg.N_list]
 
 
 def _run_spectrum(cfg: ExperimentConfig):

@@ -69,6 +69,10 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="ascending"):
             ExperimentConfig.from_dict({"experiment": "ode3", "N_list": [80, 40], "N_ref": 200})
 
+    def test_largest_windows_accepted(self):
+        assert ExperimentConfig.from_dict({"experiment": "ode3", "N_ref": 2 ** 20}).N_ref == 2 ** 20
+        assert ExperimentConfig.from_dict({"experiment": "spectrum3", "N_ref": 4096}).N_ref == 4096
+
     def test_spectrum_rejects_collocation(self):
         with pytest.raises(ConfigError, match="finite_section"):
             ExperimentConfig.from_dict({"experiment": "spectrum2", "mode": "collocation"})
@@ -247,7 +251,11 @@ class TestCli:
         {"N_ref": float("inf")},
         {"lambda_cap": float("nan")},
         {"output_path": "missing-dir/out.csv"},
-    ], ids=["alpha-nan", "s-string", "N_list-string", "N_ref-inf", "lambda_cap-nan", "unwritable-output"])
+        {"N_ref": 2 ** 20 + 1},
+        {"experiment": "spectrum2", "N_ref": 4097},
+        {"alpha": 10 ** 400},
+    ], ids=["alpha-nan", "s-string", "N_list-string", "N_ref-inf", "lambda_cap-nan", "unwritable-output",
+            "N_ref-solver-too-large", "N_ref-spectrum-too-large", "alpha-beyond-float"])
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, override):
         monkeypatch.chdir(tmp_path)
         raw = {"experiment": "ode3", "N_list": [16, 24], "N_ref": 65, "output_path": "o.csv", **override}

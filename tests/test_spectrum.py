@@ -7,6 +7,7 @@ from circspec import (
     BandWindow,
     CoeffVec,
     DiffOpSpec,
+    assemble_finite_section_ode,
     cluster_multiplicities,
     eigen_distances,
     eigenpairs_self_adjoint,
@@ -43,6 +44,29 @@ class TestEigenvaluesSelfAdjoint:
         rep = eigenvalues_self_adjoint(spec, BandWindow(33))
         assert rep.eigenvalues.shape == (33,)
         assert np.all(np.diff(rep.eigenvalues) >= 0)
+
+    def test_real_compression_solved_in_real_field(self):
+        spec = second_order_operator(2.51, 65)
+        w = BandWindow(65)
+        a = assemble_finite_section_ode(spec, w).entries
+        assert np.iscomplexobj(a) and not a.imag.any()
+        rep, vecs = eigenpairs_self_adjoint(spec, w)
+        assert np.isrealobj(vecs)
+        ref = np.linalg.eigvalsh(a)
+        assert np.abs(rep.eigenvalues - ref).max() <= 1e-12 * np.linalg.norm(a, 2)
+
+    def test_complex_hermitian_compression_stays_complex(self):
+        g = CoeffVec.from_dict({-1: -0.3j, 0: 0.5, 1: 0.3j})
+        spec = DiffOpSpec.from_orders({2: -1.0}, var=(g,))
+        w = BandWindow(33)
+        a = assemble_finite_section_ode(spec, w).entries
+        assert a.imag.any()
+        rep, vecs = eigenpairs_self_adjoint(spec, w)
+        assert np.iscomplexobj(vecs)
+        ref = np.linalg.eigvalsh(a)
+        assert np.abs(rep.eigenvalues - ref).max() <= 1e-12 * np.linalg.norm(a, 2)
+        resid = np.linalg.norm(a @ vecs - vecs * rep.eigenvalues[None, :], axis=0)
+        assert resid.max() <= 1e-10 * np.linalg.norm(a, 2)
 
     def test_report_metadata(self):
         spec = second_order_operator(2.51, 33)
