@@ -239,7 +239,9 @@ def _variable_part_toeplitz(spec: DiffOpSpec, w: BandWindow) -> np.ndarray:
     modes = w.modes()
     out = np.zeros((w.N, w.N), dtype=complex)
     for j, a in enumerate(spec.var_coeffs):
-        out += _toeplitz_entries(a, w) * (1j * modes[None, :]) ** j
+        t = _toeplitz_entries(a, w)
+        # (i m)^0 = 1, so order 0 adds its Toeplitz matrix unscaled
+        out += t * (1j * modes[None, :]) ** j if j else t
     return out
 
 
@@ -250,7 +252,8 @@ def assemble_finite_section_ode(spec: DiffOpSpec, w: BandWindow) -> OperatorMatr
     diagonal symbol plus, for each variable order j, the Toeplitz matrix of
     a_j times the diagonal of (i m)^j.
     """
-    entries = np.diag(spec.symbol(w.modes())) + _variable_part_toeplitz(spec, w)
+    entries = _variable_part_toeplitz(spec, w)
+    entries[np.diag_indices(w.N)] += spec.symbol(w.modes())
     return OperatorMatrix(w, entries)
 
 

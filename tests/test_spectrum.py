@@ -68,11 +68,55 @@ class TestEigenvaluesSelfAdjoint:
         resid = np.linalg.norm(a @ vecs - vecs * rep.eigenvalues[None, :], axis=0)
         assert resid.max() <= 1e-10 * np.linalg.norm(a, 2)
 
+    def test_rejects_flip_symmetric_non_hermitian(self):
+        # g_{-1} = g_1 = 0.3i makes the compression flip-symmetric but not Hermitian
+        g = CoeffVec.from_dict({-1: 0.3j, 0: 0.5, 1: 0.3j})
+        spec = DiffOpSpec.from_orders({2: -1.0}, var=(g,))
+        with pytest.raises(ValueError, match="Hermitian"):
+            eigenvalues_self_adjoint(spec, BandWindow(9))
+
     def test_report_metadata(self):
         spec = second_order_operator(2.51, 33)
         rep = eigenvalues_self_adjoint(spec, BandWindow(17))
         assert rep.k == 2 and rep.p == 0 and rep.ell == 2.0
         assert rep.window.N == 17
+
+
+class TestFlipSplit:
+    """Odd windows of flip-symmetric compressions are solved as even and odd halves."""
+
+    def test_spectrum2_odd_window_split(self):
+        spec = second_order_operator(2.51, 65)
+        w = BandWindow(65)
+        a = assemble_finite_section_ode(spec, w).entries.real
+        assert np.array_equal(a, a[::-1, ::-1])
+        anorm = np.linalg.norm(a, 2)
+        rep, vecs = eigenpairs_self_adjoint(spec, w)
+        assert np.abs(rep.eigenvalues - np.linalg.eigvalsh(a)).max() <= 1e-12 * anorm
+        # every eigenvector is exactly even or exactly odd under m -> -m
+        even = np.all(vecs[::-1] == vecs, axis=0)
+        odd = np.all(vecs[::-1] == -vecs, axis=0)
+        assert np.all(even | odd)
+        assert even.sum() == 33 and odd.sum() == 32
+        resid = np.linalg.norm(a @ vecs - vecs * rep.eigenvalues[None, :], axis=0)
+        assert resid.max() <= 1e-10 * anorm
+        assert np.allclose(vecs.T @ vecs, np.eye(65), atol=1e-12)
+
+    @pytest.mark.parametrize("build, n", [
+        (third_order_operator, 65),   # odd symbol: not flip-symmetric
+        (second_order_operator, 64),  # even N: the window is not symmetric
+        (second_order_operator, 1),
+        (second_order_operator, 3),
+    ])
+    def test_matches_eigvalsh(self, build, n):
+        spec = build(2.51, 65)
+        w = BandWindow(n)
+        a = assemble_finite_section_ode(spec, w).entries
+        anorm = max(np.linalg.norm(a, 2), 1.0)
+        rep, vecs = eigenpairs_self_adjoint(spec, w)
+        assert np.abs(rep.eigenvalues - np.linalg.eigvalsh(a)).max() <= 1e-12 * anorm
+        resid = np.linalg.norm(a @ vecs - vecs * rep.eigenvalues[None, :], axis=0)
+        assert resid.max() <= 1e-10 * anorm
 
 
 class TestEigenDistances:
