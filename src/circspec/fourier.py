@@ -108,11 +108,23 @@ class CoeffVec:
         out = np.where(inside, self.coeffs[np.clip(idx, 0, len(self.coeffs) - 1)], 0.0)
         return out[()] if out.ndim == 0 else out
 
-    def windowed(self, j_min: int, j_max: int) -> "CoeffVec":
-        """Copy onto the window j_min..j_max, zero-padding or truncating."""
+    def padded(self, j_min: int, j_max: int) -> np.ndarray:
+        """Coefficients of modes j_min..j_max as a new writable array, zero outside the window.
+
+        Equal to get(arange(j_min, j_max + 1)), but the overlap with this
+        vector's window is copied as one contiguous slice, with no index array.
+        """
         if j_max < j_min:
             raise ValueError("empty window")
-        return CoeffVec(j_min, self.get(np.arange(j_min, j_max + 1)))
+        out = np.zeros(j_max - j_min + 1, dtype=complex)
+        lo, hi = max(j_min, self.j_min), min(j_max, self.j_max)
+        if lo <= hi:
+            out[lo - j_min:hi - j_min + 1] = self.coeffs[lo - self.j_min:hi - self.j_min + 1]
+        return out
+
+    def windowed(self, j_min: int, j_max: int) -> "CoeffVec":
+        """Copy onto the window j_min..j_max, zero-padding or truncating."""
+        return CoeffVec(j_min, self.padded(j_min, j_max))
 
     def scaled(self, factor: complex) -> "CoeffVec":
         return CoeffVec(self.j_min, factor * self.coeffs)
@@ -174,8 +186,7 @@ def align_windows(u: CoeffVec, v: CoeffVec) -> tuple[np.ndarray, np.ndarray, np.
     """Zero-pad u and v to their union window; returns (modes, a, b)."""
     lo = min(u.j_min, v.j_min)
     hi = max(u.j_max, v.j_max)
-    modes = np.arange(lo, hi + 1)
-    return modes, u.get(modes), v.get(modes)
+    return np.arange(lo, hi + 1), u.padded(lo, hi), v.padded(lo, hi)
 
 
 def diff_norm(u: CoeffVec, v: CoeffVec, s: float) -> float:

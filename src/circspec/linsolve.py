@@ -63,14 +63,16 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     basis[0] = rhs / beta
     for k in range(m):
         w = op(basis[k])
-        # classical Gram-Schmidt, run twice to keep the basis orthogonal to working precision
+        # classical Gram-Schmidt, run twice to keep the basis orthogonal to working
+        # precision; conj(V) w is formed as conj(conj(w) V^T), which conjugates
+        # one vector instead of copying the basis
         v = basis[:k + 1]
-        h = v.conj() @ w
+        h = (w.conj() @ v.T).conj()
         w = w - h @ v
-        again = v.conj() @ w
+        again = (w.conj() @ v.T).conj()
         w -= again @ v
         h += again
-        hn = float(np.linalg.norm(w))
+        hn = math.sqrt(np.vdot(w, w).real)
         if not math.isfinite(hn):
             raise SolveError(f"{context}: operator is not finite")
         hess[:k + 1, k] = h

@@ -306,10 +306,10 @@ def assemble_sie(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") ->
 
 
 def _jump_minus_one(jump: JumpSpec) -> CoeffVec:
-    g = jump.g.windowed(min(jump.g.j_min, 0), max(jump.g.j_max, 0))
-    c = np.array(g.coeffs)
-    c[-g.j_min] -= 1.0
-    return CoeffVec(g.j_min, c)
+    lo = min(jump.g.j_min, 0)
+    c = jump.g.padded(lo, max(jump.g.j_max, 0))
+    c[-lo] -= 1.0
+    return CoeffVec(lo, c)
 
 
 def _multiplication(coeffs: tuple, w: BandWindow, mode: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -327,7 +327,7 @@ def _multiplication(coeffs: tuple, w: BandWindow, mode: str) -> Callable[[np.nda
         size = 1 << (2 * n - 2).bit_length()
         cols = np.zeros((len(coeffs), size), dtype=complex)
         for col, a in zip(cols, coeffs):
-            t = a.get(np.arange(1 - n, n))
+            t = a.padded(1 - n, n - 1)
             col[:n] = t[n - 1:]
             col[size - n + 1:] = t[:n - 1]
         symbols = np.fft.fft(cols, axis=1)
@@ -354,8 +354,13 @@ def ode_matvec(spec: DiffOpSpec, w: BandWindow, mode: str = "finite_section") ->
 
 def sie_matvec(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free x -> A x for the matrix A that assemble_sie builds: x - compress((g-1) C- x)."""
+    return _sie_product(_jump_minus_one(jump), w, mode)
+
+
+def _sie_product(h: CoeffVec, w: BandWindow, mode: str) -> Callable[[np.ndarray], np.ndarray]:
+    """sie_matvec for h = g - 1 already formed, so that a caller needing h builds it once."""
     neg = (w.modes() < 0)[None, :]
-    mult = _multiplication((_jump_minus_one(jump),), w, mode)
+    mult = _multiplication((h,), w, mode)
     return lambda x: x + mult(neg * x)
 
 

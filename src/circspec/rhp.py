@@ -5,7 +5,11 @@ phi+ = phi- g is sought as phi = 1 + Cauchy transform of a density u.  The
 density solves C+ u - (C- u) g = g - 1, which is compressed to a window,
 applied matrix-free and solved by GMRES; the operator is already identity
 plus compact, so no regulator is needed.  phi is reconstructed off the
-circle from truncated Laurent sums of u.
+circle from truncated Laurent sums of u.  Each sum reads one contiguous
+slice of u's coefficients, forward for the modes j >= 0 and reversed for
+j <= -1, and sums it as a power series in z or 1/z whose powers are
+cumulative products; a window that does not reach mode 0 (or -1) keeps
+its offset as one leading power.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
 from .linsolve import SolveError, solve_checked
-from .operators import JumpSpec, _jump_minus_one, _winding, check_mode, sie_matvec
+from .operators import JumpSpec, _jump_minus_one, _sie_product, _winding, check_mode
 # not called here: bench/spans.py times the dense assembler where this module looks it up
 from .operators import assemble_sie  # noqa: F401
 
@@ -54,26 +58,33 @@ def solve_rhp(jump: JumpSpec, w: BandWindow, mode: str = "finite_section",
         rhs = project(h, w).coeffs
     else:
         rhs = interpolate(evaluate_on_grid(h, w.N)).coeffs
-    x = solve_checked(sie_matvec(jump, w, mode), rhs, cond_cap=cond_cap, context=context)
+    x = solve_checked(_sie_product(h, w, mode), rhs, cond_cap=cond_cap, context=context)
     return RHSolution(u=CoeffVec(-w.n_minus, x), window=w)
 
 
-def _power_series(c: np.ndarray, w: complex) -> complex:
-    """sum_k c_k w^k, with the powers 1, w, w^2, ... built by cumulative products."""
+def _power_series(c: np.ndarray, w: complex, start: int) -> complex:
+    """w^start * sum_k c_k w^k, with the powers 1, w, w^2, ... built by cumulative products in place."""
     if len(c) == 0:
         return 0j
-    return complex(c @ np.cumprod(np.append(1.0, np.full(len(c) - 1, w))))
+    p = np.full(len(c), w)
+    p[0] = 1.0
+    np.cumprod(p, out=p)
+    return w ** start * complex(c @ p)
 
 
 def _plus_sum(u: CoeffVec, z: complex) -> complex:
-    """sum_{j>=0} u_j z^j over u's window."""
-    return _power_series(u.get(np.arange(0, u.j_max + 1)), z)
+    """sum_{j>=0} u_j z^j over u's window: a forward slice of u.coeffs from mode max(j_min, 0)."""
+    lo = max(u.j_min, 0)
+    return _power_series(u.coeffs[lo - u.j_min:], z, lo)
 
 
 def _minus_sum(u: CoeffVec, z: complex) -> complex:
-    """sum_{j<=-1} u_j z^j over u's window, a power series in 1/z."""
-    w = 1.0 / z
-    return w * _power_series(u.get(np.arange(-1, min(u.j_min, 0) - 1, -1)), w)
+    """sum_{j<=-1} u_j z^j over u's window: a reversed slice of u.coeffs from mode
+    min(j_max, -1) down to j_min, summed as a power series in 1/z."""
+    hi = min(u.j_max, -1)
+    if hi < u.j_min:
+        return 0j
+    return _power_series(u.coeffs[hi - u.j_min::-1], 1.0 / z, -hi)
 
 
 def evaluate_phi(sol: RHSolution, z: complex, side: str | None = None) -> complex:
@@ -81,7 +92,10 @@ def evaluate_phi(sol: RHSolution, z: complex, side: str | None = None) -> comple
 
     Inside the circle phi = 1 + sum_{j>=0} u_j z^j; outside,
     phi = 1 - sum_{j<=-1} u_j z^j.  On the circle a side flag "plus"
-    (interior boundary value) or "minus" (exterior) must be given.
+    (interior boundary value) or "minus" (exterior) must be given.  Any
+    window of u is accepted, including one on a single side of mode 0: the
+    plus sum then starts at z^j_min, the minus sum at z^j_max.  The sum
+    costs O(modes) with no index array, so a point costs a few numpy calls.
     """
     zc = complex(z)
     r = abs(zc)

@@ -96,6 +96,23 @@ def eigenpairs_self_adjoint(spec: DiffOpSpec, w: BandWindow) -> tuple[EigenRepor
     the two half-size blocks are solved instead of A; every returned
     eigenvector is even or odd under the flip.
     """
+    report, vecs, order = _eigensolve(spec, w)
+    return report, _unflip(*vecs, order) if len(vecs) == 2 else vecs[0][:, order]
+
+
+def eigenvalues_self_adjoint(spec: DiffOpSpec, w: BandWindow) -> EigenReport:
+    """The report of eigenpairs_self_adjoint, with the same checks, without
+    assembling the N x N eigenvector matrix."""
+    return _eigensolve(spec, w)[0]
+
+
+def _eigensolve(spec: DiffOpSpec, w: BandWindow) -> tuple[EigenReport, tuple, np.ndarray]:
+    """Checked eigensolve of the compression, by blocks when it commutes with the flip.
+
+    Returns the report, the eigenvectors of each block (one block, or the
+    even and the odd one), and the order that sorts their concatenated
+    eigenvalues.
+    """
     a = assemble_finite_section_ode(spec, w).entries
     if not a.imag.any():
         a = np.ascontiguousarray(a.real)
@@ -113,9 +130,8 @@ def eigenpairs_self_adjoint(spec: DiffOpSpec, w: BandWindow) -> tuple[EigenRepor
         raise ValueError(f"eigenpair residual {worst:.2e} exceeds 1e-10 * ||A||")
     refined = np.concatenate(lams)
     order = np.argsort(refined, kind="stable")
-    vecs = _unflip(*vecs, order) if split else vecs[0][:, order]
     report = EigenReport(window=w, eigenvalues=refined[order], ell=spec.ell, k=spec.k, p=spec.p)
-    return report, vecs
+    return report, vecs, order
 
 
 def _rayleigh(a: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,11 +180,6 @@ def _unflip(ye: np.ndarray, yo: np.ndarray, order: np.ndarray) -> np.ndarray:
     vecs[h + 1:, cols_o] = half
     vecs[h - 1::-1, cols_o] = -half
     return vecs
-
-
-def eigenvalues_self_adjoint(spec: DiffOpSpec, w: BandWindow) -> EigenReport:
-    report, _ = eigenpairs_self_adjoint(spec, w)
-    return report
 
 
 def eigen_distances(test: EigenReport, reference: EigenReport) -> EigenDistances:

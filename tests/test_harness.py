@@ -153,6 +153,20 @@ class TestRunExperiment:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_rhp_determinism_byte_identical(self, tmp_path, mode):
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "rhp", "N_list": [24, 32, 48, 64], "N_ref": 200, "mode": mode,
+            "output_path": str(tmp_path / "r.csv"),
+        })
+        outs = []
+        for name in ("ra.csv", "rb.csv"):
+            rep = run_experiment(cfg)
+            path = tmp_path / name
+            emit_csv(rep, str(path))
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_spectrum_zero_coupling_slope_undefined(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "experiment": "spectrum2", "N_list": [17, 33], "N_ref": 65,

@@ -1,4 +1,5 @@
-"""Hypothesis properties: the flip-split eigensolve and the projection identities at random N."""
+"""Hypothesis properties: the flip-split eigensolve, the projection identities at random N,
+and slice windowing against index-array reads."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from circspec import (  # noqa: E402
     BandWindow,
     CoeffVec,
     DiffOpSpec,
+    align_windows,
     assemble_finite_section_ode,
     eigenvalues_self_adjoint,
     evaluate_on_grid,
@@ -52,3 +54,46 @@ def test_projection_and_aliasing_identities(n, j_min, c):
     for j in v.modes():
         fold = sum(u.get(q * n + j) for q in range(-reach, reach + 1))
         assert abs(v.get(j) - fold) <= 1e-12 * max(1.0, len(u.coeffs))
+
+
+@st.composite
+def vector_and_window(draw):
+    """A CoeffVec and a window (lo, hi) that overlaps it on one side, contains it,
+    lies inside it, or misses it below or above."""
+    u = CoeffVec(draw(st.integers(-40, 40)), np.array(draw(complex_coefficients)))
+    a, b = u.j_min, u.j_max
+    gap, width = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    kind = draw(st.sampled_from(["overlap_low", "overlap_high", "contains", "inside", "below", "above"]))
+    if kind == "overlap_low":
+        lo, hi = a - 1 - gap, draw(st.integers(a, b))
+    elif kind == "overlap_high":
+        lo, hi = draw(st.integers(a, b)), b + 1 + gap
+    elif kind == "contains":
+        lo, hi = a - gap, b + width
+    elif kind == "inside":
+        lo = draw(st.integers(a, b))
+        hi = draw(st.integers(lo, b))
+    elif kind == "below":
+        hi = a - 1 - gap
+        lo = hi - width
+    else:
+        lo = b + 1 + gap
+        hi = lo + width
+    return u, lo, hi
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(case=vector_and_window(), data=st.data())
+def test_slice_windowing_matches_index_reads(case, data):
+    u, lo, hi = case
+    modes = np.arange(lo, hi + 1)
+    assert np.array_equal(u.windowed(lo, hi).coeffs, u.get(modes))
+    assert u.windowed(lo, hi).j_min == lo
+    c = data.draw(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+                           min_size=len(modes), max_size=len(modes)))
+    v = CoeffVec(lo, np.array(c))
+    union = np.arange(min(u.j_min, lo), max(u.j_max, hi) + 1)
+    got = align_windows(u, v)
+    assert np.array_equal(got[0], union)
+    assert np.array_equal(got[1], u.get(union))
+    assert np.array_equal(got[2], v.get(union))

@@ -7,6 +7,7 @@ from circspec import (
     BandWindow,
     CoeffVec,
     JumpSpec,
+    RHSolution,
     SolveError,
     assemble_sie,
     diff_norm,
@@ -222,3 +223,42 @@ class TestEvaluatePhiAgainstLoop:
             want = 1.0 + sum(terms) if inside else 1.0 - sum(terms)
             size = 1.0 + sum(abs(t) for t in terms)
             assert abs(evaluate_phi(sol, z) - want) <= 1e-13 * size
+
+
+def loop_phi(u: CoeffVec, z: complex, plus: bool) -> tuple[complex, float]:
+    """phi from the mode-by-mode sum, and the size 1 + sum |terms| that bounds its roundoff."""
+    terms = [c * complex(z) ** int(j) for j, c in zip(u.modes(), u.coeffs) if (j >= 0) == plus]
+    total = sum(terms, 0j)
+    return (1.0 + total if plus else 1.0 - total), 1.0 + sum(abs(t) for t in terms)
+
+
+class TestEvaluatePhiWindows:
+    """Windows that do not straddle mode 0 keep their offset in the Laurent sums."""
+
+    rng = np.random.default_rng(5)
+    POINTS = np.concatenate([[0.0], rng.uniform(0.1, 0.95, 8), rng.uniform(1.05, 4.0, 8)]) \
+        * np.exp(2j * np.pi * rng.uniform(size=17))
+    CIRCLE = np.exp(2j * np.pi * rng.uniform(size=8))
+
+    def check(self, sol: RHSolution):
+        for z in self.POINTS:
+            want, size = loop_phi(sol.u, z, abs(z) < 1.0)
+            assert abs(evaluate_phi(sol, z) - want) <= 1e-13 * size
+        for z in self.CIRCLE:
+            for side in ("plus", "minus"):
+                want, size = loop_phi(sol.u, z, side == "plus")
+                assert abs(evaluate_phi(sol, z, side=side) - want) <= 1e-13 * size
+
+    @pytest.mark.parametrize("j_min,size", [(1, 6), (3, 5), (-7, 6), (-2, 1), (0, 1), (-1, 1), (-1, 2)])
+    def test_hand_built_windows(self, j_min, size):
+        # modes >= 1, >= 3, -7..-2, only -2, only 0, only -1, and -1..0
+        rng = np.random.default_rng(size - j_min)
+        u = CoeffVec(j_min, rng.normal(size=size) + 1j * rng.normal(size=size))
+        self.check(RHSolution(u=u, window=BandWindow(size)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_smallest_solved_windows(self, n, mode):
+        sol = solve_rhp(rhp_jump(1.51, 0.3, 9), BandWindow(n), mode=mode)
+        assert sol.u.j_min == -(n // 2) and len(sol.u.coeffs) == n
+        self.check(sol)
