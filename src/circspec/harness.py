@@ -2,12 +2,12 @@
 
 Four experiments are wired up: the third-order periodic equation, the two
 self-adjoint spectrum studies, and the circle Riemann-Hilbert problem.
-Each computes a reference at N_ref, sweeps the window sizes in N_list,
-measures errors (a weighted coefficient norm against the reference for the
-solvers, the largest matched eigenvalue distance under a modulus cap for
-the spectra), and fits a log-log slope.  Runs are deterministic: the same
-configuration at the same BLAS thread count yields byte-identical CSV
-output.
+All four run through one sweep, _sweep, which builds the problem and solves
+it at N_ref, then at each N in N_list.  Each experiment then measures errors
+(a weighted coefficient norm against the reference for the solvers, the
+largest matched eigenvalue distance under a modulus cap for the spectra)
+and fits a log-log slope.  Runs are deterministic: the same configuration
+at the same BLAS thread count yields byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -214,17 +214,29 @@ def fit_slope(rows, floor: float = ERROR_FLOOR) -> float:
 
 def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     """Run one configured convergence experiment; deterministic given cfg."""
-    if cfg.experiment == "ode3":
-        spec, rhs = problems.third_order_ode(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale)
-        rows = _sweep("ode3", lambda n: solve_ode(spec, rhs, BandWindow(n), mode=cfg.mode), cfg)
-        eigen_rows, notes = None, []
-    elif cfg.experiment == "rhp":
-        # solve_rhp rejects a jump of nonzero winding, naming the winding number
-        jump = problems.rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref)
-        rows = _sweep("rhp", lambda n: solve_rhp(jump, BandWindow(n), mode=cfg.mode).u, cfg)
-        eigen_rows, notes = None, []
+    if cfg.experiment.startswith("spectrum"):
+        build = problems.second_order_operator if cfg.experiment == "spectrum2" else problems.third_order_operator
+        ref, reports = _sweep(lambda: build(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale),
+                              lambda spec, n: eigenvalues_self_adjoint(spec, BandWindow(n)), cfg)
+        rows, eigen_rows = [], []
+        for n, report in zip(cfg.N_list, reports):
+            matched = eigen_distances(report, ref)
+            for lam, d, r in zip(matched.lam, matched.dist, matched.rescaled):
+                eigen_rows.append((n, float(lam), float(d), float(r)))
+            capped = matched.dist[np.abs(matched.lam) <= cfg.lambda_cap]
+            rows.append((n, float(capped.max()) if len(capped) else 0.0))
+        notes = ["eigenvalue distances floor near 1e-12 in double precision; "
+                 "floored rows are excluded from the slope fit"]
     else:
-        rows, eigen_rows, notes = _run_spectrum(cfg)
+        if cfg.experiment == "ode3":
+            ref, sols = _sweep(lambda: problems.third_order_ode(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale),
+                               lambda p, n: solve_ode(*p, BandWindow(n), mode=cfg.mode), cfg)
+        else:
+            # solve_rhp rejects a jump of nonzero winding, naming the winding number
+            ref, sols = _sweep(lambda: problems.rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref),
+                               lambda jump, n: solve_rhp(jump, BandWindow(n), mode=cfg.mode).u, cfg)
+        rows = [(n, diff_norm(ref, u, cfg.s)) for n, u in zip(cfg.N_list, sols)]
+        eigen_rows, notes = None, []
 
     slope, used, excluded = _fit_detail(rows, ERROR_FLOOR)
     for n, e, reason in excluded:
@@ -235,33 +247,19 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
                              excluded=excluded, eigen_rows=eigen_rows, notes=notes)
 
 
-def _sweep(name: str, solve_at_N, cfg: ExperimentConfig) -> list:
-    """Solve at N_ref, then at each N in N_list; rows of (N, distance to the reference)."""
-    def solve(n: int, what: str):
+def _sweep(build, solve_at_N, cfg: ExperimentConfig) -> tuple:
+    """Build the problem and solve it at N_ref, then at each N in N_list; return the
+    reference and the per-N results.  A SolveError or ValueError from building or
+    solving is re-raised as a SolveError that names the step and its N."""
+    def step(what: str, n: int, fn, *args):
         try:
-            return solve_at_N(n)
-        except SolveError as exc:
+            return fn(*args)
+        except (SolveError, ValueError) as exc:
             raise SolveError(f"{what} failed at N={n}: {exc}") from exc
 
-    ref = solve(cfg.N_ref, f"{name} reference")
-    return [(n, diff_norm(ref, solve(n, name), cfg.s)) for n in cfg.N_list]
-
-
-def _run_spectrum(cfg: ExperimentConfig):
-    build = problems.second_order_operator if cfg.experiment == "spectrum2" else problems.third_order_operator
-    spec = build(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale)
-    reference = eigenvalues_self_adjoint(spec, BandWindow(cfg.N_ref))
-    rows, eigen_rows = [], []
-    for n in cfg.N_list:
-        report = eigenvalues_self_adjoint(spec, BandWindow(n))
-        matched = eigen_distances(report, reference)
-        for lam, d, r in zip(matched.lam, matched.dist, matched.rescaled):
-            eigen_rows.append((n, float(lam), float(d), float(r)))
-        capped = matched.dist[np.abs(matched.lam) <= cfg.lambda_cap]
-        rows.append((n, float(capped.max()) if len(capped) else 0.0))
-    notes = ["eigenvalue distances floor near 1e-12 in double precision; "
-             "floored rows are excluded from the slope fit"]
-    return rows, eigen_rows, notes
+    problem = step(f"{cfg.experiment} reference", cfg.N_ref, build)
+    ref = step(f"{cfg.experiment} reference", cfg.N_ref, solve_at_N, problem, cfg.N_ref)
+    return ref, [step(cfg.experiment, n, solve_at_N, problem, n) for n in cfg.N_list]
 
 
 def _fmt(x: float) -> str:

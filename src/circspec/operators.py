@@ -2,8 +2,9 @@
 
 The solvers apply the finite-section / collocation compressions of the
 differential operators and of the singular-integral operator matrix-free
-(ode_matvec, sie_matvec): Toeplitz products through a circulant embedding,
-grid products through the FFT, O(N) storage and O(N log N) work per product.
+(ode_matvec, sie_matvec) through one circulant product, O(N) storage and
+O(N log N) work: a collocation product is the circulant of the coefficients
+folded mod N, a finite-section product embeds the Toeplitz matrix.
 
 Dense assembly over the modes of a BandWindow is kept for the eigensolver
 and as the reference the matrix-free products are tested against: diagonal
@@ -117,6 +118,7 @@ class JumpSpec:
     min_modulus is the minimum of |g| over a fine evaluation grid -- the
     computable surrogate for nonvanishing of g on the whole circle -- and
     winding is the winding number of g about the origin on the same grid.
+    from_coeffs rejects a g that is not finite or vanishes on that grid.
     """
 
     g: CoeffVec
@@ -125,18 +127,20 @@ class JumpSpec:
 
     @classmethod
     def from_coeffs(cls, g: CoeffVec, grid_factor: int = 16) -> "JumpSpec":
-        npts = max(grid_factor * len(g.coeffs), 64)
-        vals = evaluate_on_grid(g, npts)
-        mm = float(np.abs(vals).min())
-        if mm <= 0.0:
-            raise ValueError("jump function vanishes on the evaluation grid")
-        return cls(g=g, min_modulus=mm, winding=_winding(vals))
+        return cls(g, *_modulus_and_winding(g, grid_factor))
 
 
-def _winding(vals: np.ndarray) -> int:
-    """Winding about the origin of a closed curve sampled finely, from its phase increments."""
+def _modulus_and_winding(g: CoeffVec, grid_factor: int) -> tuple[float, int]:
+    """Minimum of |g| and winding of g about the origin, on a grid of
+    max(grid_factor * len(g.coeffs), 64) points, from the phase increments."""
+    vals = evaluate_on_grid(g, max(grid_factor * len(g.coeffs), 64))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("jump function is not finite on the evaluation grid")
+    mm = float(np.abs(vals).min())
+    if mm <= 0.0:
+        raise ValueError("jump function vanishes on the evaluation grid")
     increments = np.angle(np.roll(vals, -1) / vals)
-    return int(np.rint(increments.sum() / (2.0 * np.pi)))
+    return mm, int(np.rint(increments.sum() / (2.0 * np.pi)))
 
 
 @dataclass(frozen=True)
@@ -161,11 +165,9 @@ def assemble_L0(spec: DiffOpSpec, w: BandWindow) -> OperatorMatrix:
 
 
 def _toeplitz_entries(h: CoeffVec, w: BandWindow) -> np.ndarray:
-    # imported here, so that the matrix-free solvers never pay scipy's import time
-    from scipy.linalg import toeplitz
-
-    n = np.arange(w.N)
-    return toeplitz(h.get(n), h.get(-n))
+    """Entry (r, c) = h_{r-c}; row r is the N-long run of h's modes r, r-1, .., r-(N-1)."""
+    n = w.N
+    return np.lib.stride_tricks.sliding_window_view(h.padded(1 - n, n - 1)[::-1], n)[::-1].copy()
 
 
 def assemble_mult_toeplitz(h: CoeffVec, w: BandWindow) -> OperatorMatrix:
@@ -315,28 +317,24 @@ def _jump_minus_one(jump: JumpSpec) -> CoeffVec:
 def _multiplication(coeffs: tuple, w: BandWindow, mode: str) -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free v -> sum_j compress(a_j v_j) for a (len(coeffs), N) stack v.
 
-    finite_section applies each Toeplitz matrix through a circulant embedding
-    of length >= 2N-1 (Chan & Ng, SIAM Rev. 1996), whose symbol is one FFT of
-    a_j on modes -(N-1)..N-1; collocation multiplies by a_j on the N-point
-    grid and interpolates back.  Both cost one batched FFT each way per
-    product.
+    Both compressions are one circulant product, one batched FFT each way.
+    finite_section embeds each Toeplitz matrix of a_j's modes -(N-1)..N-1 in
+    a circulant of power-of-two length >= 2N-1 (Chan & Ng, SIAM Rev. 1996);
+    collocation is the N x N circulant of all of a_j's modes folded mod N,
+    which equals multiplying on the N-point grid and interpolating back.
     """
     check_mode(mode)
     n = w.N
+    size = n
     if mode == "finite_section":
         size = 1 << (2 * n - 2).bit_length()
-        cols = np.zeros((len(coeffs), size), dtype=complex)
-        for col, a in zip(cols, coeffs):
-            t = a.padded(1 - n, n - 1)
-            col[:n] = t[n - 1:]
-            col[size - n + 1:] = t[:n - 1]
-        symbols = np.fft.fft(cols, axis=1)
-        return lambda v: np.fft.ifft((symbols * np.fft.fft(v, size, axis=1)).sum(axis=0))[:n]
-    # window slot i holds mode i - n_minus, which sits at FFT slot (i - n_minus) mod n
-    to_window = w.modes() % n
-    to_fft = np.argsort(to_window)
-    samples = np.stack([evaluate_on_grid(a, n) for a in coeffs])
-    return lambda v: np.fft.fft((samples * np.fft.ifft(v[:, to_fft], axis=1)).sum(axis=0))[to_window]
+        coeffs = [a.windowed(1 - n, n - 1) for a in coeffs]
+    cols = np.zeros((len(coeffs), size), dtype=complex)
+    for col, a in zip(cols, coeffs):
+        np.add.at(col, a.modes() % size, a.coeffs)
+    symbols = np.fft.fft(cols, axis=1)
+    # window slot i holds mode i - n_minus; a circulant depends only on slot differences
+    return lambda v: np.fft.ifft((symbols * np.fft.fft(v, size, axis=1)).sum(axis=0))[:n]
 
 
 def ode_matvec(spec: DiffOpSpec, w: BandWindow, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:

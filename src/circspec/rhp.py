@@ -20,7 +20,7 @@ import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
 from .linsolve import SolveError, solve_checked
-from .operators import JumpSpec, _jump_minus_one, _sie_product, _winding, check_mode
+from .operators import JumpSpec, _jump_minus_one, _modulus_and_winding, _sie_product, check_mode
 # not called here: bench/spans.py times the dense assembler where this module looks it up
 from .operators import assemble_sie  # noqa: F401
 
@@ -130,10 +130,7 @@ def winding_number(jump: JumpSpec, grid_factor: int = 16) -> int:
 
     Nonzero winding rules out solutions with phi(inf) = 1 of the assumed
     form.  JumpSpec.from_coeffs records the same number on the same default
-    grid, and solve_rhp rejects a jump whose recorded winding is nonzero.
+    grid, through the same grid check, and solve_rhp rejects a jump whose
+    recorded winding is nonzero.
     """
-    npts = max(grid_factor * len(jump.g.coeffs), 64)
-    vals = evaluate_on_grid(jump.g, npts)
-    if np.any(np.abs(vals) == 0.0):
-        raise ValueError("jump function vanishes on the winding grid")
-    return _winding(vals)
+    return _modulus_and_winding(jump.g, grid_factor)[1]

@@ -1,6 +1,10 @@
 """Tests for experiment configuration, slope fitting, CSV output, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +280,38 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, raw)  # json writes NaN and Infinity literals
         assert main_convergence(["--config", cfg]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_cli(args, *, code=""):
+    """Run `code`, then main_convergence(args), in a fresh interpreter that imports circspec from src."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    script = f"import sys\nfrom circspec.cli import main_convergence\nrc = main_convergence(sys.argv[1:])\n{code}\nsys.exit(rc)"
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
+
+
+class TestCliProcess:
+    """The CLI in a fresh process, where an overflow warning stays a warning."""
+
+    @pytest.mark.parametrize("raw", [
+        {"experiment": "spectrum2", "N_list": [17, 33], "N_ref": 65, "g_scale": 1e300},
+        {"experiment": "spectrum3", "N_list": [17, 33], "N_ref": 65, "g_scale": 1e300},
+        {"experiment": "rhp", "N_list": [16], "N_ref": 65, "epsilon": 1e308},
+    ], ids=["spectrum2-overflow", "spectrum3-overflow", "rhp-jump-not-finite"])
+    def test_overflowing_input_is_a_solver_failure(self, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        proc = run_cli(["--config", str(cfg), "--output", str(tmp_path / "o.csv")])
+        assert proc.returncode == 1, proc.stderr
+        assert "solver failure" in proc.stderr and "reference failed at N=65" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", ["ode3", "rhp", "spectrum2", "spectrum3"])
+    def test_shipped_config_runs_without_scipy(self, tmp_path, name):
+        proc = run_cli(["--config", str(ROOT / "configs" / f"{name}.json"), "--output", str(tmp_path / "o.csv")],
+                       code="assert 'scipy' not in sys.modules, 'scipy was imported'")
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o.csv").exists()

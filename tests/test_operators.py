@@ -22,6 +22,7 @@ from circspec import (
     project,
     sie_matvec,
     synth_powerlaw,
+    winding_number,
 )
 from circspec.operators import OperatorMatrix
 
@@ -387,6 +388,15 @@ class TestJumpSpec:
     def test_rejects_vanishing_symbol(self):
         with pytest.raises(ValueError, match="vanishes"):
             JumpSpec.from_coeffs(CoeffVec.from_dict({0: 1.0, 1: 1.0}))
+
+    @pytest.mark.parametrize("coeffs", [[np.inf], [1.0, np.nan]], ids=["inf", "nan"])
+    def test_rejects_non_finite_values(self, coeffs):
+        # the same grid check runs in from_coeffs and in winding_number
+        g = CoeffVec(0, np.array(coeffs))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            JumpSpec.from_coeffs(g)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            winding_number(JumpSpec(g, min_modulus=1.0, winding=0))
 
 
 def invert_coeffs(g: CoeffVec, half_width: int, grid: int = 8192) -> CoeffVec:

@@ -1,5 +1,5 @@
 """Hypothesis properties: the flip-split eigensolve, the projection identities at random N,
-and slice windowing against index-array reads."""
+slice windowing against index-array reads, and the Toeplitz entries against their definition."""
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from circspec import (  # noqa: E402
     project,
     sobolev_norm,
 )
+from circspec.operators import _toeplitz_entries  # noqa: E402
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 coefficients = st.lists(unit, min_size=1, max_size=12)
@@ -97,3 +98,33 @@ def test_slice_windowing_matches_index_reads(case, data):
     assert np.array_equal(got[0], union)
     assert np.array_equal(got[1], u.get(union))
     assert np.array_equal(got[2], v.get(union))
+
+
+@st.composite
+def toeplitz_case(draw):
+    """A window size N and a CoeffVec whose modes lie inside -(N-1)..N-1, overlap
+    one end of it, reach beyond both ends, or miss it."""
+    n = draw(st.integers(1, 64))
+    c = np.array(draw(complex_coefficients))
+    width, gap = len(c), draw(st.integers(0, 20))
+    kind = draw(st.sampled_from(["inside", "overlap_low", "overlap_high", "beyond", "disjoint"]))
+    if kind == "inside":
+        # fall back to a window that covers the band when c is longer than it
+        j_min = draw(st.integers(1 - n, n - width)) if width <= 2 * n - 1 else 1 - n - gap
+    elif kind == "overlap_low":
+        j_min = 1 - n - width + draw(st.integers(1, width))
+    elif kind == "overlap_high":
+        j_min = n - draw(st.integers(1, width))
+    elif kind == "beyond":
+        j_min, c = -n - gap, np.concatenate([c, np.ones(2 * n + 2 * gap)])
+    else:
+        j_min = draw(st.sampled_from([n + gap, 1 - n - gap - width]))
+    return n, CoeffVec(j_min, c)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(case=toeplitz_case())
+def test_toeplitz_entries_match_definition(case):
+    n, h = case
+    m = BandWindow(n).modes()
+    assert np.array_equal(_toeplitz_entries(h, BandWindow(n)), h.get(m[:, None] - m[None, :]))
