@@ -126,6 +126,13 @@ class CoeffVec:
         """Copy onto the window j_min..j_max, zero-padding or truncating."""
         return CoeffVec(j_min, self.padded(j_min, j_max))
 
+    def folded(self, n: int) -> np.ndarray:
+        """Slot r holds the sum of the u_j with j = r mod n: whole periods of n modes,
+        zero-padded from a multiple of n, summed as the rows of one reshape."""
+        lo = self.j_min // n * n
+        periods = (self.j_max - lo) // n + 1
+        return self.padded(lo, lo + periods * n - 1).reshape(periods, n).sum(axis=0)
+
     def scaled(self, factor: complex) -> "CoeffVec":
         return CoeffVec(self.j_min, factor * self.coeffs)
 
@@ -165,15 +172,13 @@ def interpolate(values: np.ndarray) -> CoeffVec:
 def evaluate_on_grid(u: CoeffVec, n: int) -> np.ndarray:
     """Evaluate the series of u at the n uniform grid points x_l = 2*pi*l/n.
 
-    Exact for any coefficient window: modes are reduced mod n before the
-    inverse transform, which agrees with direct summation of the series at
-    the grid points.
+    Exact for any coefficient window: the coefficients are folded mod n
+    (CoeffVec.folded) before the inverse transform, which agrees with direct
+    summation of the series at the grid points.
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    acc = np.zeros(n, dtype=complex)
-    np.add.at(acc, u.modes() % n, u.coeffs)
-    return np.fft.ifft(acc) * n
+    return np.fft.ifft(u.folded(n)) * n
 
 
 def sobolev_norm(u: CoeffVec, s: float) -> float:

@@ -249,12 +249,14 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
 
 def _sweep(build, solve_at_N, cfg: ExperimentConfig) -> tuple:
     """Build the problem and solve it at N_ref, then at each N in N_list; return the
-    reference and the per-N results.  A SolveError or ValueError from building or
-    solving is re-raised as a SolveError that names the step and its N."""
+    reference and the per-N results.  Each step raises floating-point overflow, division
+    by zero and invalid operations (not underflow); a SolveError, ValueError or
+    FloatingPointError from a step is re-raised as a SolveError naming the step and N."""
     def step(what: str, n: int, fn, *args):
         try:
-            return fn(*args)
-        except (SolveError, ValueError) as exc:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return fn(*args)
+        except (SolveError, ValueError, FloatingPointError) as exc:
             raise SolveError(f"{what} failed at N={n}: {exc}") from exc
 
     problem = step(f"{cfg.experiment} reference", cfg.N_ref, build)

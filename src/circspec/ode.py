@@ -14,7 +14,7 @@ import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
 from .linsolve import SolveError, solve_checked
-from .operators import DiffOpSpec, check_mode, choose_zeta, ode_matvec
+from .operators import DiffOpSpec, _regulator_diagonal, check_mode, choose_zeta, ode_matvec
 # not called here: bench/spans.py times the dense assemblers where this module looks them up
 from .operators import assemble_collocation_ode, assemble_finite_section_ode  # noqa: F401
 
@@ -38,7 +38,7 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
     context = f"{mode} solve at N={w.N}"
     sym = spec.symbol(w.modes())
     if spec.has_variable_part():
-        reg = 1.0 / (sym - choose_zeta(spec))
+        reg = _regulator_diagonal(sym, choose_zeta(spec), w)
         x = solve_checked(ode_matvec(spec, w, mode), rhs, reg, cond_cap=cond_cap, context=context)
         return CoeffVec(-w.n_minus, x)
     # diagonal operator: the symbol itself is the exact regulator, and dead

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 MODES = ("finite_section", "collocation")
+# grid points per coefficient on which a jump function is checked
+GRID_FACTOR = 16
+# shifts choose_zeta tries, in order: 1, -1, i, -i, 2, -2, 2i, -2i, ..., 16, -16, 16i, -16i
+ZETA_CANDIDATES = tuple(complex(z) for r in range(1, 17) for z in (r, -r, 1j * r, -1j * r))
 
 
 def check_mode(mode) -> None:
@@ -126,14 +130,14 @@ class JumpSpec:
     winding: int
 
     @classmethod
-    def from_coeffs(cls, g: CoeffVec, grid_factor: int = 16) -> "JumpSpec":
-        return cls(g, *_modulus_and_winding(g, grid_factor))
+    def from_coeffs(cls, g: CoeffVec) -> "JumpSpec":
+        return cls(g, *_modulus_and_winding(g))
 
 
-def _modulus_and_winding(g: CoeffVec, grid_factor: int) -> tuple[float, int]:
+def _modulus_and_winding(g: CoeffVec) -> tuple[float, int]:
     """Minimum of |g| and winding of g about the origin, on a grid of
-    max(grid_factor * len(g.coeffs), 64) points, from the phase increments."""
-    vals = evaluate_on_grid(g, max(grid_factor * len(g.coeffs), 64))
+    max(GRID_FACTOR * len(g.coeffs), 64) points, from the phase increments."""
+    vals = evaluate_on_grid(g, max(GRID_FACTOR * len(g.coeffs), 64))
     if not np.all(np.isfinite(vals)):
         raise ValueError("jump function is not finite on the evaluation grid")
     mm = float(np.abs(vals).min())
@@ -188,52 +192,36 @@ def assemble_cauchy_projectors(w: BandWindow) -> tuple[OperatorMatrix, OperatorM
     return OperatorMatrix(w, plus), OperatorMatrix(w, minus)
 
 
-def choose_zeta(spec: DiffOpSpec, max_candidates: int = 64) -> complex:
-    """Pick a spectral shift zeta away from the constant-part symbol values.
+def choose_zeta(spec: DiffOpSpec) -> complex:
+    """Pick a spectral shift zeta further than 1/2 from every constant-part symbol value.
 
-    For the plain k-th derivative (c_k = 1, no lower constant orders) the
-    classical choice (-1)^(k/2) for even k, 1 for odd k, is returned as-is.
-    Otherwise candidates 1, -1, i, -i, 2, -2, 2i, -2i, ... are scanned and
-    the first one further than 1/2 from every symbol value wins.  Only
-    finitely many modes matter because |symbol| grows without bound.
+    The first of ZETA_CANDIDATES to clear them wins.  For |m| >= 1, |symbol(m)| >=
+    |c_k| |m| - sum_{j<k} |c_j|, so only |m| <= (max|candidate| + 1/2 + sum_{j<k} |c_j|)
+    / |c_k| (capped at 2^20) can come near a candidate; m = 0 covers a constant symbol.
     """
-    if spec.q == spec.k and spec.const_coeffs[0] == 1.0:
-        if spec.k % 2 == 0:
-            return complex((-1) ** (spec.k // 2))
-        return 1.0 + 0j
-
-    # symbol values large enough in modulus cannot sit near any candidate
-    cand_radius = float(np.ceil(max_candidates / 4.0)) + 1.0
-    m_half = 8
-    while True:
-        shell = np.arange(m_half // 2 + 1, m_half + 1)
-        shell = np.concatenate([-shell, shell])
-        if np.min(np.abs(spec.symbol(shell))) > cand_radius + 1.0 or m_half >= (1 << 20):
-            break
-        m_half *= 2
-    symbols = spec.symbol(np.arange(-m_half, m_half + 1))
-
-    count = 0
-    r = 1
-    while count < max_candidates:
-        for cand in (r, -r, 1j * r, -1j * r):
-            count += 1
-            if np.min(np.abs(symbols - cand)) > 0.5:
-                return complex(cand)
-            if count >= max_candidates:
-                break
-        r += 1
-    raise ValueError(f"no shift among the first {max_candidates} candidates clears the symbol set")
+    reach = max(abs(z) for z in ZETA_CANDIDATES) + 0.5
+    c = np.abs(spec.const_coeffs)
+    m_max = int(min((reach + c[:-1].sum()) / c[-1], 2 ** 20))
+    symbols = spec.symbol(np.arange(-m_max, m_max + 1))
+    for cand in ZETA_CANDIDATES:
+        if np.min(np.abs(symbols - cand)) > 0.5:
+            return cand
+    raise ValueError(f"no shift among the {len(ZETA_CANDIDATES)} candidates clears the symbol set")
 
 
-def assemble_regulator(spec: DiffOpSpec, zeta: complex, w: BandWindow) -> OperatorMatrix:
-    """Diagonal inverse of (constant part - zeta Id) on the window."""
-    gaps = spec.symbol(w.modes()) - zeta
+def _regulator_diagonal(sym: np.ndarray, zeta: complex, w: BandWindow) -> np.ndarray:
+    """1 / (sym - zeta) for the constant-part symbol sym on w; a collision raises ValueError."""
+    gaps = sym - zeta
     bad = np.abs(gaps) <= 1e-12 * max(1.0, abs(zeta))
     if np.any(bad):
         m = int(w.modes()[np.argmax(bad)])
         raise ValueError(f"shift {zeta} collides with the symbol value at mode {m}")
-    return OperatorMatrix(w, np.diag(1.0 / gaps))
+    return 1.0 / gaps
+
+
+def assemble_regulator(spec: DiffOpSpec, zeta: complex, w: BandWindow) -> OperatorMatrix:
+    """Diagonal inverse of (constant part - zeta Id) on the window."""
+    return OperatorMatrix(w, np.diag(_regulator_diagonal(spec.symbol(w.modes()), zeta, w)))
 
 
 def _variable_part_toeplitz(spec: DiffOpSpec, w: BandWindow) -> np.ndarray:
@@ -329,9 +317,7 @@ def _multiplication(coeffs: tuple, w: BandWindow, mode: str) -> Callable[[np.nda
     if mode == "finite_section":
         size = 1 << (2 * n - 2).bit_length()
         coeffs = [a.windowed(1 - n, n - 1) for a in coeffs]
-    cols = np.zeros((len(coeffs), size), dtype=complex)
-    for col, a in zip(cols, coeffs):
-        np.add.at(col, a.modes() % size, a.coeffs)
+    cols = np.array([a.folded(size) for a in coeffs], dtype=complex).reshape(len(coeffs), size)
     symbols = np.fft.fft(cols, axis=1)
     # window slot i holds mode i - n_minus; a circulant depends only on slot differences
     return lambda v: np.fft.ifft((symbols * np.fft.fft(v, size, axis=1)).sum(axis=0))[:n]
@@ -342,9 +328,6 @@ def ode_matvec(spec: DiffOpSpec, w: BandWindow, mode: str = "finite_section") ->
     assemble_collocation_ode builds: sym x + sum_j compress(a_j (i m)^j x)."""
     modes = w.modes()
     sym = spec.symbol(modes)
-    if not spec.var_coeffs:
-        check_mode(mode)
-        return lambda x: sym * x
     powers = (1j * modes) ** np.arange(len(spec.var_coeffs))[:, None]
     mult = _multiplication(spec.var_coeffs, w, mode)
     return lambda x: sym * x + mult(powers * x)

@@ -125,12 +125,12 @@ def jump_residual(sol: RHSolution, jump: JumpSpec, m: int) -> float:
     return float(np.abs(phi_plus - phi_minus * gz).max())
 
 
-def winding_number(jump: JumpSpec, grid_factor: int = 16) -> int:
+def winding_number(jump: JumpSpec) -> int:
     """Winding of g around the origin, from phase increments on a fine grid.
 
     Nonzero winding rules out solutions with phi(inf) = 1 of the assumed
-    form.  JumpSpec.from_coeffs records the same number on the same default
+    form.  JumpSpec.from_coeffs records the same number on the same
     grid, through the same grid check, and solve_rhp rejects a jump whose
     recorded winding is nonzero.
     """
-    return _modulus_and_winding(jump.g, grid_factor)[1]
+    return _modulus_and_winding(jump.g)[1]

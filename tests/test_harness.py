@@ -26,6 +26,14 @@ def small_ode3(tmp_path, **over):
     return ExperimentConfig.from_dict(raw)
 
 
+# valid configurations whose reference computation overflows
+overflowing_configs = pytest.mark.parametrize("raw", [
+    {"experiment": "spectrum2", "N_list": [17, 33], "N_ref": 65, "g_scale": 1e300},
+    {"experiment": "spectrum3", "N_list": [17, 33], "N_ref": 65, "g_scale": 1e300},
+    {"experiment": "rhp", "N_list": [16], "N_ref": 65, "epsilon": 1e308},
+], ids=["spectrum2-overflow", "spectrum3-overflow", "rhp-jump-not-finite"])
+
+
 class TestFitSlope:
     def test_two_point_slope(self):
         assert fit_slope([(10, 1e-2), (100, 1e-4)]) == pytest.approx(-2.0)
@@ -201,6 +209,14 @@ class TestRunExperiment:
         with pytest.raises(SolveError, match="N=65"):
             run_experiment(cfg)
 
+    @overflowing_configs
+    def test_overflow_is_a_solve_error(self, tmp_path, raw):
+        # pytest turns warnings into errors, so a numpy overflow warning would escape as RuntimeWarning
+        from circspec import SolveError
+        cfg = ExperimentConfig.from_dict({**raw, "output_path": str(tmp_path / "o.csv")})
+        with pytest.raises(SolveError, match="reference failed at N=65"):
+            run_experiment(cfg)
+
     def test_reference_insensitivity(self, tmp_path):
         # moving the reference from 2001 to 1501 must not materially change
         # the reported errors anywhere in the sweep range
@@ -294,13 +310,10 @@ def run_cli(args, *, code=""):
 
 
 class TestCliProcess:
-    """The CLI in a fresh process, where an overflow warning stays a warning."""
+    """The CLI in a fresh process, outside pytest's warnings-as-errors filter:
+    overflow still exits 1 with a message and no numpy warning."""
 
-    @pytest.mark.parametrize("raw", [
-        {"experiment": "spectrum2", "N_list": [17, 33], "N_ref": 65, "g_scale": 1e300},
-        {"experiment": "spectrum3", "N_list": [17, 33], "N_ref": 65, "g_scale": 1e300},
-        {"experiment": "rhp", "N_list": [16], "N_ref": 65, "epsilon": 1e308},
-    ], ids=["spectrum2-overflow", "spectrum3-overflow", "rhp-jump-not-finite"])
+    @overflowing_configs
     def test_overflowing_input_is_a_solver_failure(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -308,6 +321,7 @@ class TestCliProcess:
         assert proc.returncode == 1, proc.stderr
         assert "solver failure" in proc.stderr and "reference failed at N=65" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize("name", ["ode3", "rhp", "spectrum2", "spectrum3"])
     def test_shipped_config_runs_without_scipy(self, tmp_path, name):

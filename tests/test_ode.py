@@ -160,21 +160,35 @@ class TestConvergenceBehavior:
         assert errs[0] / errs[2] > 2.0 ** 6
 
 
+def assert_matches_dense_lu(spec, rhs, n, mode):
+    """solve_ode at window size n agrees with np.linalg.solve of the dense compression."""
+    w = BandWindow(n)
+    if mode == "finite_section":
+        a = assemble_finite_section_ode(spec, w).entries
+        f = project(rhs, w).coeffs
+    else:
+        a = assemble_collocation_ode(spec, w).entries
+        f = interpolate(evaluate_on_grid(rhs, n)).coeffs
+    dense = np.linalg.solve(a, f)
+    u = solve_ode(spec, rhs, w, mode=mode).coeffs
+    assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
 class TestMatrixFreeSolve:
     @pytest.mark.parametrize("n", [8, 33, 128, 401])
     @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
     def test_agrees_with_dense_lu(self, n, mode):
         spec, rhs = third_order_ode(1.51, 401)
-        w = BandWindow(n)
-        if mode == "finite_section":
-            a = assemble_finite_section_ode(spec, w).entries
-            f = project(rhs, w).coeffs
-        else:
-            a = assemble_collocation_ode(spec, w).entries
-            f = interpolate(evaluate_on_grid(rhs, n)).coeffs
-        dense = np.linalg.solve(a, f)
-        u = solve_ode(spec, rhs, w, mode=mode).coeffs
-        assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+        assert_matches_dense_lu(spec, rhs, n, mode)
+
+    @pytest.mark.parametrize("const, n", [({2: 1.0}, 17), ({4: 1.0}, 33), ({2: -1.0, 0: -9999.0}, 301)],
+                             ids=["d2", "d4", "minus-d2-minus-9999"])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_symbol_near_small_shifts(self, const, n, mode):
+        # each symbol takes a value in {1, -1}: -m^2 and m^4 at m = +-1, m^2 - 9999 at m = +-100
+        g = CoeffVec.from_dict({-2: 0.1, -1: 0.2j, 0: 0.5, 1: -0.1j, 3: 0.05})
+        rhs = CoeffVec.from_dict({-4: 0.3, -1: 1.0, 0: 2.0, 2: 0.5j, 7: 0.1})
+        assert_matches_dense_lu(DiffOpSpec.from_orders(const, var=(g,)), rhs, n, mode)
 
     def test_reference_beyond_dense_reach(self):
         # a dense matrix at this size would take 4.3 GB.  The gate still

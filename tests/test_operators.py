@@ -110,7 +110,9 @@ class TestCauchyProjectors:
 
 class TestChooseZeta:
     def test_plain_even_derivative(self):
-        assert choose_zeta(DiffOpSpec.from_orders({2: 1.0})) == -1.0
+        # symbols -m^2 and m^4 take the value -1 and +1 at m = +-1
+        assert choose_zeta(DiffOpSpec.from_orders({2: 1.0})) == 1.0
+        assert choose_zeta(DiffOpSpec.from_orders({4: 1.0})) == -1.0
 
     def test_plain_odd_derivative(self):
         assert choose_zeta(DiffOpSpec.from_orders({3: 1.0})) == 1.0

@@ -1,5 +1,6 @@
 """Hypothesis properties: the flip-split eigensolve, the projection identities at random N,
-slice windowing against index-array reads, and the Toeplitz entries against their definition."""
+slice windowing against index-array reads, the Toeplitz entries against their definition,
+and the regulator shift against the symbol values it must avoid."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from circspec import (  # noqa: E402
     DiffOpSpec,
     align_windows,
     assemble_finite_section_ode,
+    choose_zeta,
     eigenvalues_self_adjoint,
     evaluate_on_grid,
     interpolate,
@@ -55,6 +57,10 @@ def test_projection_and_aliasing_identities(n, j_min, c):
     for j in v.modes():
         fold = sum(u.get(q * n + j) for q in range(-reach, reach + 1))
         assert abs(v.get(j) - fold) <= 1e-12 * max(1.0, len(u.coeffs))
+    # CoeffVec.folded sums the same modes, slot r holding mode qN + r
+    for r, x in enumerate(u.folded(n)):
+        fold = sum(u.get(q * n + r) for q in range(-reach, reach + 1))
+        assert abs(x - fold) <= 1e-12 * max(1.0, len(u.coeffs))
 
 
 @st.composite
@@ -128,3 +134,30 @@ def test_toeplitz_entries_match_definition(case):
     n, h = case
     m = BandWindow(n).modes()
     assert np.array_equal(_toeplitz_entries(h, BandWindow(n)), h.get(m[:, None] - m[None, :]))
+
+
+@st.composite
+def constant_parts(draw):
+    """{order: coefficient} of a constant part: top order k in 0..5 with |c_k| >= 1,
+    and any of the lower orders with |c_j| <= 1e3."""
+    k = draw(st.integers(0, 5))
+    finite = dict(allow_nan=False, allow_infinity=False)
+    const = {k: draw(st.complex_numbers(min_magnitude=1.0, max_magnitude=1e3, **finite))}
+    for j in range(k):
+        if draw(st.booleans()):
+            const[j] = draw(st.complex_numbers(max_magnitude=1e3, **finite))
+    return const
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(const=constant_parts())
+@hypothesis.example(const={2: 1.0})
+@hypothesis.example(const={4: 1.0})
+@hypothesis.example(const={2: -1.0, 0: -99.0})
+@hypothesis.example(const={2: -1.0, 0: -9999.0})
+def test_zeta_clears_every_symbol_value(const):
+    # d^2 and d^4 take the values -1 and +1 at m = +-1; -d^2 - 99 takes 1 at m = +-10, and
+    # -d^2 - 9999 at m = +-100, beyond any scan bound that leaves out the lower coefficients
+    spec = DiffOpSpec.from_orders(const)
+    zeta = choose_zeta(spec)
+    assert np.abs(spec.symbol(np.arange(-10 ** 4, 10 ** 4 + 1)) - zeta).min() > 0.5
