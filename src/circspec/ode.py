@@ -2,10 +2,12 @@
 
 solve_ode compresses the operator to the window with either the truncation
 projection (finite-section) or trigonometric interpolation (collocation),
-applies the compression matrix-free and solves by GMRES, right-regulated by
-the diagonal (L0 - zeta)^(-1) that turns the operator into identity plus
-compact.  exact_constant_solve is the diagonal oracle for operators without
-a variable part.
+applies the compression matrix-free and solves by GMRES, right-regulated so
+that the operator becomes identity plus compact.  The regulator has two
+levels (operators.ode_regulator): the exact inverse of the 17-mode
+finite-section compression on the modes |m| <= LOW_MODES, and the diagonal
+(L0 - zeta)^(-1) on every other mode.  exact_constant_solve is the diagonal
+oracle for operators without a variable part.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
 from .linsolve import SolveError, solve_checked
-from .operators import DiffOpSpec, _regulator_diagonal, check_mode, choose_zeta, ode_matvec
-# not called here: bench/spans.py times the dense assemblers where this module looks them up
-from .operators import assemble_collocation_ode, assemble_finite_section_ode  # noqa: F401
+from .operators import LOW_MODES, DiffOpSpec, assemble_finite_section_ode, check_mode, ode_matvec, ode_regulator
+# not called here: bench/spans.py times the dense collocation assembler where this module looks it up
+from .operators import assemble_collocation_ode  # noqa: F401
 
 __all__ = ["solve_ode", "exact_constant_solve", "SolveError"]
 
@@ -27,8 +29,11 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
 
     finite_section solves (L0 + P L1) u = P f with P the window truncation;
     collocation replaces P by interpolation from the N-point grid, for the
-    operator and the right-hand side alike.  The condition estimate gated
-    against cond_cap is that of the unregulated matrix (see solve_checked).
+    operator and the right-hand side alike.  The low-mode block of the
+    regulator is the finite-section compression's inverse in both modes; in
+    collocation it is off by the aliased coefficients, which only costs
+    iterations.  The condition estimate gated against cond_cap is on the
+    scale of the unregulated matrix (see solve_checked).
     """
     check_mode(mode)
     if mode == "finite_section":
@@ -36,13 +41,14 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
     else:
         rhs = interpolate(evaluate_on_grid(f, w.N)).coeffs
     context = f"{mode} solve at N={w.N}"
-    sym = spec.symbol(w.modes())
     if spec.has_variable_part():
-        reg = _regulator_diagonal(sym, choose_zeta(spec), w)
-        x = solve_checked(ode_matvec(spec, w, mode), rhs, reg, cond_cap=cond_cap, context=context)
+        low = assemble_finite_section_ode(spec, BandWindow(2 * LOW_MODES + 1))
+        reg, block = ode_regulator(spec, w, low)
+        x = solve_checked(ode_matvec(spec, w, mode), rhs, reg, cond_cap=cond_cap, context=context, block=block)
         return CoeffVec(-w.n_minus, x)
     # diagonal operator: the symbol itself is the exact regulator, and dead
     # modes are solvable iff the data avoids them, in which case they carry zero
+    sym = spec.symbol(w.modes())
     dead = sym == 0.0
     hit = dead & (rhs != 0.0)
     if np.any(hit):

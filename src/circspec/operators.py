@@ -6,13 +6,17 @@ differential operators and of the singular-integral operator matrix-free
 O(N log N) work: a collocation product is the circulant of the coefficients
 folded mod N, a finite-section product embeds the Toeplitz matrix.
 
-Dense assembly over the modes of a BandWindow is kept for the eigensolver
-and as the reference the matrix-free products are tested against: diagonal
-differential symbols, Toeplitz multiplication, the Cauchy projectors,
-diagonal resolvent-type regulators, Hankel-type couplings from negative to
-nonnegative modes, and the same compressions as dense matrices.  Row and
-column index i of a matrix corresponds to mode i - n_minus, the same map on
-both sides.
+The ODE solver's right regulator has two levels (ode_regulator): the exact
+inverse of the finite-section compression on the modes |m| <= LOW_MODES,
+and the diagonal (L0 - zeta)^(-1) on every other mode.
+
+Dense assembly over the modes of a BandWindow is kept for the eigensolver,
+for the regulator's low block and as the reference the matrix-free products
+are tested against: diagonal differential symbols, Toeplitz multiplication,
+the Cauchy projectors, diagonal resolvent-type regulators, Hankel-type
+couplings from negative to nonnegative modes, and the same compressions as
+dense matrices.  Row and column index i of a matrix corresponds to mode
+i - n_minus, the same map on both sides.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "assemble_cauchy_projectors",
     "choose_zeta",
     "assemble_regulator",
+    "ode_regulator",
     "assemble_finite_section_ode",
     "assemble_collocation_ode",
     "assemble_sie",
@@ -43,10 +48,15 @@ __all__ = [
 ]
 
 MODES = ("finite_section", "collocation")
-# grid points per coefficient on which a jump function is checked
+# grid points per coefficient on which a jump function is checked when no coarser grid certifies it
 GRID_FACTOR = 16
 # shifts choose_zeta tries, in order: 1, -1, i, -i, 2, -2, 2i, -2i, ..., 16, -16, 16i, -16i
 ZETA_CANDIDATES = tuple(complex(z) for r in range(1, 17) for z in (r, -r, 1j * r, -1j * r))
+# the two-level ODE regulator inverts the compression exactly on the modes |m| <= LOW_MODES
+LOW_MODES = 8
+# the low block is used only when its smallest singular value is at least this, the
+# margin choose_zeta keeps between the shift and every symbol value
+LOW_BLOCK_MARGIN = 0.5
 
 
 def check_mode(mode) -> None:
@@ -119,10 +129,13 @@ class DiffOpSpec:
 class JumpSpec:
     """Scalar jump function on the unit circle with a certified lower bound.
 
-    min_modulus is the minimum of |g| over a fine evaluation grid -- the
-    computable surrogate for nonvanishing of g on the whole circle -- and
-    winding is the winding number of g about the origin on the same grid.
-    from_coeffs rejects a g that is not finite or vanishes on that grid.
+    min_modulus is the minimum of |g| over an evaluation grid and winding is
+    the winding number of g about the origin on the same grid (see
+    _modulus_and_winding).  The grid is refined until its minimum certifies
+    that g has no zero on the circle and that the winding is exact, up to
+    GRID_FACTOR points per coefficient; there the grid minimum is the
+    computable surrogate for nonvanishing.  from_coeffs rejects a g that is
+    not finite or vanishes on a grid.
     """
 
     g: CoeffVec
@@ -135,14 +148,28 @@ class JumpSpec:
 
 
 def _modulus_and_winding(g: CoeffVec) -> tuple[float, int]:
-    """Minimum of |g| and winding of g about the origin, on a grid of
-    max(GRID_FACTOR * len(g.coeffs), 64) points, from the phase increments."""
-    vals = evaluate_on_grid(g, max(GRID_FACTOR * len(g.coeffs), 64))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("jump function is not finite on the evaluation grid")
-    mm = float(np.abs(vals).min())
-    if mm <= 0.0:
-        raise ValueError("jump function vanishes on the evaluation grid")
+    """Minimum of |g| and winding of g about the origin on a grid, from the phase increments.
+
+    The grid starts at the smallest power of two >= max(2 len(g.coeffs), 64)
+    points and doubles while min|g| on it is <= 2 pi L / n, with
+    L = sum |j| |g_j| >= max|g'|, up to the cap max(GRID_FACTOR len(g.coeffs), 64).
+    Past that bound, g moves less than min|g| between neighbouring points: it
+    has no zero on the circle, and every phase increment, hence the winding,
+    is exact.  Otherwise the cap grid decides, as a surrogate.
+    """
+    cap = max(GRID_FACTOR * len(g.coeffs), 64)
+    lipschitz = float(np.abs(g.modes() * g.coeffs).sum())
+    n = min(1 << (max(2 * len(g.coeffs), 64) - 1).bit_length(), cap)
+    while True:
+        vals = evaluate_on_grid(g, n)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("jump function is not finite on the evaluation grid")
+        mm = float(np.abs(vals).min())
+        if mm <= 0.0:
+            raise ValueError("jump function vanishes on the evaluation grid")
+        if n == cap or mm > 2.0 * np.pi * lipschitz / n:
+            break
+        n = min(2 * n, cap)
     increments = np.angle(np.roll(vals, -1) / vals)
     return mm, int(np.rint(increments.sum() / (2.0 * np.pi)))
 
@@ -217,6 +244,25 @@ def _regulator_diagonal(sym: np.ndarray, zeta: complex, w: BandWindow) -> np.nda
         m = int(w.modes()[np.argmax(bad)])
         raise ValueError(f"shift {zeta} collides with the symbol value at mode {m}")
     return 1.0 / gaps
+
+
+def ode_regulator(spec: DiffOpSpec, w: BandWindow,
+                  low: OperatorMatrix) -> tuple[np.ndarray, tuple[slice, np.ndarray] | None]:
+    """Two-level right regulator of the compressed ODE on w: (diagonal, low block).
+
+    The diagonal is (L0 - zeta)^(-1) with zeta from choose_zeta.  low is the
+    finite-section compression on the 2 LOW_MODES + 1 modes |m| <= LOW_MODES;
+    when w holds those modes and low's smallest singular value is at least
+    LOW_BLOCK_MARGIN, the block is (slots of those modes in w, inverse of low),
+    which solve_checked applies there in place of the diagonal.  Otherwise it
+    is None and the diagonal regulates alone.
+    """
+    reg = _regulator_diagonal(spec.symbol(w.modes()), choose_zeta(spec), w)
+    n_low = low.window.N
+    if w.N < n_low or np.linalg.svd(low.entries, compute_uv=False)[-1] < LOW_BLOCK_MARGIN:
+        return reg, None
+    start = w.n_minus - low.window.n_minus
+    return reg, (slice(start, start + n_low), np.linalg.inv(low.entries))
 
 
 def assemble_regulator(spec: DiffOpSpec, zeta: complex, w: BandWindow) -> OperatorMatrix:

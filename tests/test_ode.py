@@ -18,6 +18,8 @@ from circspec import (
     solve_ode,
     sobolev_norm,
 )
+import circspec.ode
+from circspec.operators import LOW_MODES, ode_regulator
 from circspec.problems import third_order_ode
 
 from oracles import apply_diff_op
@@ -160,8 +162,8 @@ class TestConvergenceBehavior:
         assert errs[0] / errs[2] > 2.0 ** 6
 
 
-def assert_matches_dense_lu(spec, rhs, n, mode):
-    """solve_ode at window size n agrees with np.linalg.solve of the dense compression."""
+def assert_matches_dense_lu(spec, rhs, n, mode, rtol=1e-12):
+    """solve_ode at window size n agrees with np.linalg.solve of the dense compression to rtol."""
     w = BandWindow(n)
     if mode == "finite_section":
         a = assemble_finite_section_ode(spec, w).entries
@@ -171,7 +173,7 @@ def assert_matches_dense_lu(spec, rhs, n, mode):
         f = interpolate(evaluate_on_grid(rhs, n)).coeffs
     dense = np.linalg.solve(a, f)
     u = solve_ode(spec, rhs, w, mode=mode).coeffs
-    assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert np.linalg.norm(u - dense) <= rtol * np.linalg.norm(dense)
 
 
 class TestMatrixFreeSolve:
@@ -199,3 +201,36 @@ class TestMatrixFreeSolve:
         u = solve_ode(spec, rhs, BandWindow(n), cond_cap=1e13)
         coarse = solve_ode(spec, rhs, BandWindow(401))
         assert diff_norm(u, coarse, 0.0) <= 1e-6
+
+
+class TestTwoLevelRegulator:
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_at_most_seven_products_per_solve(self, monkeypatch, mode):
+        # the diagonal regulator alone took 14 products (13 Arnoldi steps and
+        # the residual check) at every N
+        calls = []
+        matvec = circspec.ode.ode_matvec
+
+        def counting(*args, **kwargs):
+            product = matvec(*args, **kwargs)
+            return lambda x: calls.append(1) or product(x)
+
+        monkeypatch.setattr(circspec.ode, "ode_matvec", counting)
+        spec, rhs = third_order_ode(1.51, 2001)
+        for n in (33, 128, 401, 2001):
+            calls.clear()
+            solve_ode(spec, rhs, BandWindow(n), mode=mode)
+            assert len(calls) <= 7, n
+
+    @pytest.mark.parametrize("g0, uses_block", [(0.0, False), (1e-6, False), (2.0, True)])
+    @pytest.mark.parametrize("n", [41, 129])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_low_block_or_fallback_matches_dense_lu(self, g0, uses_block, n, mode):
+        # -d^2 - 1 + g: g's modes +-20 do not couple inside |m| <= 8, so the low
+        # block is diagonal with smallest singular value |g0| at m = +-1, and 1
+        # at m = 0 for g0 = 2; below 1/2 the diagonal regulator runs alone
+        spec = DiffOpSpec.from_orders({2: -1.0, 0: -1.0}, var=(CoeffVec.from_dict({-20: 0.1, 0: g0, 20: 0.1}),))
+        low = assemble_finite_section_ode(spec, BandWindow(2 * LOW_MODES + 1))
+        assert (ode_regulator(spec, BandWindow(n), low)[1] is not None) == uses_block
+        rhs = CoeffVec.from_dict({-1: 1.0, 1: 0.5j, 19: 0.3})
+        assert_matches_dense_lu(spec, rhs, n, mode, rtol=1e-9)

@@ -17,6 +17,7 @@ from circspec import (
     assemble_regulator,
     assemble_sie,
     choose_zeta,
+    evaluate_on_grid,
     ode_matvec,
     operator_norm_weighted,
     project,
@@ -390,6 +391,15 @@ class TestJumpSpec:
     def test_rejects_vanishing_symbol(self):
         with pytest.raises(ValueError, match="vanishes"):
             JumpSpec.from_coeffs(CoeffVec.from_dict({0: 1.0, 1: 1.0}))
+
+    def test_uncertified_jump_is_checked_on_the_cap_grid(self):
+        # 1.001i - z^40 comes within 0.001 of zero, below 2 pi L / n = 80 pi / n on
+        # every doubled grid, so the check ends on GRID_FACTOR * 41 = 656 points;
+        # the first grid, 128 points, meets the near-zero and reads 0.001
+        g = CoeffVec.from_dict({0: 1.001j, 40: -1.0})
+        jump = JumpSpec.from_coeffs(g)
+        assert jump.winding == 0
+        assert jump.min_modulus == np.abs(evaluate_on_grid(g, 656)).min() > 0.03
 
     @pytest.mark.parametrize("coeffs", [[np.inf], [1.0, np.nan]], ids=["inf", "nan"])
     def test_rejects_non_finite_values(self, coeffs):

@@ -1,6 +1,7 @@
 """Hypothesis properties: the flip-split eigensolve, the projection identities at random N,
 slice windowing against index-array reads, the Toeplitz entries against their definition,
-and the regulator shift against the symbol values it must avoid."""
+the regulator shift against the symbol values it must avoid, and the jump check's winding
+and minimum modulus against Rouche's theorem."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from circspec import (  # noqa: E402
     BandWindow,
     CoeffVec,
     DiffOpSpec,
+    JumpSpec,
     align_windows,
     assemble_finite_section_ode,
     choose_zeta,
@@ -22,6 +24,7 @@ from circspec import (  # noqa: E402
     sobolev_norm,
 )
 from circspec.operators import _toeplitz_entries  # noqa: E402
+from circspec.problems import rhp_jump  # noqa: E402
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 coefficients = st.lists(unit, min_size=1, max_size=12)
@@ -161,3 +164,35 @@ def test_zeta_clears_every_symbol_value(const):
     spec = DiffOpSpec.from_orders(const)
     zeta = choose_zeta(spec)
     assert np.abs(spec.symbol(np.arange(-10 ** 4, 10 ** 4 + 1)) - zeta).min() > 0.5
+
+
+@st.composite
+def rouche_jumps(draw):
+    """(g, k, |c|, sum |r_j|) for g = c e^{ik theta} + r: |k| <= 8, r on modes -16..16
+    with sum |r_j| <= |c| / 2."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    k = draw(st.integers(-8, 8))
+    c = draw(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, **finite))
+    r = np.array(draw(st.lists(st.complex_numbers(max_magnitude=1.0, **finite), min_size=33, max_size=33)))
+    total = np.abs(r).sum()
+    if total > 0.0:
+        r = r / total * (draw(st.floats(0.0, 1.0)) * abs(c) / 2.0)
+    coeffs = r.copy()
+    coeffs[k + 16] += c
+    return CoeffVec(-16, coeffs), k, abs(c), float(np.abs(r).sum())
+
+
+_SHIPPED_JUMP = rhp_jump(1.51, 0.01, 2000).g
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(case=rouche_jumps())
+@hypothesis.example(case=(_SHIPPED_JUMP, 0, 1.0, float(np.abs(_SHIPPED_JUMP.coeffs).sum()) - 1.0))
+def test_jump_winding_and_modulus_follow_rouche(case):
+    # |r| <= |c| / 2 < |c e^{ik theta}| on the circle, so g winds k times and
+    # |c| - sum |r_j| <= |g| <= |c| + sum |r_j|; the shipped rhp jump is 1 plus
+    # terms summing to about 0.03
+    g, k, c_abs, r_sum = case
+    jump = JumpSpec.from_coeffs(g)
+    assert jump.winding == k
+    assert c_abs - r_sum - 1e-12 * c_abs <= jump.min_modulus <= c_abs + r_sum + 1e-12 * c_abs
