@@ -1,10 +1,10 @@
 """Matrix-free linear solves: regulated GMRES with a conditioning gate and a residual check.
 
-solve_checked needs only the product x -> A x.  Given a regulator R that
-inverts the leading part of A, a diagonal that may carry one dense square
-block, it runs GMRES (Saad & Schultz 1986) on A R y = f and returns x = R y.
-For the operators solved here A R is the identity plus a compact operator,
-so the iteration count stays flat as the window grows.
+solve_checked needs only the product x -> A x.  Given a right regulator R,
+passed as the product y -> R y with R's exact condition number, it runs
+GMRES (Saad & Schultz 1986) on A R y = f and returns x = R y.  For the
+operators solved here A R is the identity plus a compact operator, so the
+iteration count stays flat as the window grows.
 """
 
 from __future__ import annotations
@@ -29,18 +29,14 @@ class SolveError(RuntimeError):
 
 
 def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
-                  reg: np.ndarray | None = None, cond_cap: float = 1e12,
-                  context: str = "linear solve",
-                  block: tuple[slice, np.ndarray] | None = None) -> np.ndarray:
+                  regulator: tuple[Callable[[np.ndarray], np.ndarray], float] | None = None,
+                  cond_cap: float = 1e12, context: str = "linear solve") -> np.ndarray:
     """Solve apply(x) = rhs by GMRES on apply(R y) = rhs; return x = R y.
 
-    R is the regulator: the diagonal reg (None for the identity), except on
-    the slots of block = (slots, inverse), where it applies the square matrix
-    inverse instead.  The condition estimate is sigma_max / sigma_min of the
-    Arnoldi Hessenberg matrix, times the exact condition number of R: the
-    ratio of the largest to the smallest of |reg| off the block and the
-    singular values of inverse.  This keeps it on the scale of the
-    unregulated matrix.
+    regulator is (R, cond): the product y -> R y and the exact condition
+    number of R; None stands for the identity.  The condition estimate is
+    sigma_max / sigma_min of the Arnoldi Hessenberg matrix, times cond.
+    This keeps it on the scale of the unregulated matrix.
 
     GMRES stops when its residual estimate falls below GMRES_TOL relative
     to the right-hand side, or after min(N, MAX_ITER) iterations.  When the
@@ -58,26 +54,13 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
         return np.zeros(rhs.size, dtype=complex)
     if not math.isfinite(beta):
         raise SolveError(f"{context}: right-hand side is not finite")
-
-    def regulate(y):
-        if reg is None:
-            return y
-        x = reg * y
-        if block is not None:
-            slots, inverse = block
-            x[slots] = inverse @ y[slots]
-        return x
+    regulate, reg_cond = regulator if regulator is not None else (lambda y: y, 1.0)
 
     def op(y):
         return apply(regulate(y))
 
     y, cond, steps, met = _gmres(op, rhs, beta, context)
-    if reg is not None:
-        mag = np.abs(reg)
-        if block is not None:
-            slots, inverse = block
-            mag[slots] = np.linalg.svd(inverse, compute_uv=False)
-        cond *= float(mag.max() / mag.min())
+    cond *= reg_cond
     if not np.isfinite(cond) or cond > cond_cap:
         raise SolveError(
             f"{context}: condition estimate {cond:.3e} exceeds cap {cond_cap:.1e} "

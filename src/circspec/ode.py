@@ -3,11 +3,10 @@
 solve_ode compresses the operator to the window with either the truncation
 projection (finite-section) or trigonometric interpolation (collocation),
 applies the compression matrix-free and solves by GMRES, right-regulated so
-that the operator becomes identity plus compact.  The regulator has two
-levels (operators.ode_regulator): the exact inverse of the 17-mode
-finite-section compression on the modes |m| <= LOW_MODES, and the diagonal
-(L0 - zeta)^(-1) on every other mode.  exact_constant_solve is the diagonal
-oracle for operators without a variable part.
+that the operator becomes identity plus compact.  Every operator, with or
+without a variable part, takes that one path, with the regulator and its
+condition number from operators.ode_regulator.  exact_constant_solve is the
+diagonal oracle for operators without a variable part.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
 from .linsolve import SolveError, solve_checked
-from .operators import LOW_MODES, DiffOpSpec, assemble_finite_section_ode, check_mode, ode_matvec, ode_regulator
-# not called here: bench/spans.py times the dense collocation assembler where this module looks it up
-from .operators import assemble_collocation_ode  # noqa: F401
+from .operators import DiffOpSpec, check_mode, ode_matvec, ode_regulator
+# not called here: bench/spans.py times the dense assemblers where this module looks them up
+from .operators import assemble_collocation_ode, assemble_finite_section_ode  # noqa: F401
 
 __all__ = ["solve_ode", "exact_constant_solve", "SolveError"]
 
@@ -33,7 +32,9 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
     regulator is the finite-section compression's inverse in both modes; in
     collocation it is off by the aliased coefficients, which only costs
     iterations.  The condition estimate gated against cond_cap is on the
-    scale of the unregulated matrix (see solve_checked).
+    scale of the unregulated matrix (see solve_checked).  An operator
+    without a variable part is diagonal: a mode where its symbol vanishes is
+    solvable iff the data avoids it, and then carries zero.
     """
     check_mode(mode)
     if mode == "finite_section":
@@ -41,26 +42,14 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
     else:
         rhs = interpolate(evaluate_on_grid(f, w.N)).coeffs
     context = f"{mode} solve at N={w.N}"
-    if spec.has_variable_part():
-        low = assemble_finite_section_ode(spec, BandWindow(2 * LOW_MODES + 1))
-        reg, block = ode_regulator(spec, w, low)
-        x = solve_checked(ode_matvec(spec, w, mode), rhs, reg, cond_cap=cond_cap, context=context, block=block)
-        return CoeffVec(-w.n_minus, x)
-    # diagonal operator: the symbol itself is the exact regulator, and dead
-    # modes are solvable iff the data avoids them, in which case they carry zero
-    sym = spec.symbol(w.modes())
-    dead = sym == 0.0
-    hit = dead & (rhs != 0.0)
-    if np.any(hit):
-        m = int(w.modes()[np.argmax(hit)])
-        raise SolveError(
-            f"{context}: condition estimate inf (symbol vanishes at mode {m} with nonzero data)"
-        )
-    x = np.zeros(w.N, dtype=complex)
-    live = ~dead
-    if np.any(live):
-        s = sym[live]
-        x[live] = solve_checked(lambda v: s * v, rhs[live], 1.0 / s, cond_cap=cond_cap, context=context)
+    if not spec.has_variable_part():
+        hit = (spec.symbol(w.modes()) == 0.0) & (rhs != 0.0)
+        if np.any(hit):
+            m = int(w.modes()[np.argmax(hit)])
+            raise SolveError(
+                f"{context}: condition estimate inf (symbol vanishes at mode {m} with nonzero data)"
+            )
+    x = solve_checked(ode_matvec(spec, w, mode), rhs, ode_regulator(spec, w), cond_cap=cond_cap, context=context)
     return CoeffVec(-w.n_minus, x)
 
 

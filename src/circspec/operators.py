@@ -6,9 +6,12 @@ differential operators and of the singular-integral operator matrix-free
 O(N log N) work: a collocation product is the circulant of the coefficients
 folded mod N, a finite-section product embeds the Toeplitz matrix.
 
-The ODE solver's right regulator has two levels (ode_regulator): the exact
-inverse of the finite-section compression on the modes |m| <= LOW_MODES,
-and the diagonal (L0 - zeta)^(-1) on every other mode.
+ode_regulator is the ODE solver's right regulator and its exact condition
+number, and the only code that knows its two levels: the exact inverse of
+the finite-section compression on the modes |m| <= LOW_MODES, and the
+diagonal (L0 - zeta)^(-1) on every other mode.  The shift, the low block's
+inverse and its singular values depend only on the operator, so each
+DiffOpSpec builds them once.
 
 Dense assembly over the modes of a BandWindow is kept for the eigensolver,
 for the regulator's low block and as the reference the matrix-free products
@@ -22,6 +25,7 @@ i - n_minus, the same map on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -123,6 +127,21 @@ class DiffOpSpec:
         for j, c in zip(range(self.q, self.k + 1), self.const_coeffs):
             out += c * im ** j
         return out
+
+    @cached_property
+    def _low_regulator(self) -> tuple[complex, np.ndarray | None, np.ndarray | None]:
+        """(zeta, inverse of the low block, the inverse's singular values), built once.
+
+        zeta is choose_zeta's shift.  The low block is the finite-section
+        compression on the 2 LOW_MODES + 1 modes |m| <= LOW_MODES; its inverse
+        and singular values are None when its smallest singular value is below
+        LOW_BLOCK_MARGIN, so a singular block is never divided by.
+        """
+        low = assemble_finite_section_ode(self, BandWindow(2 * LOW_MODES + 1)).entries
+        sigma = np.linalg.svd(low, compute_uv=False)
+        if sigma[-1] < LOW_BLOCK_MARGIN:
+            return choose_zeta(self), None, None
+        return choose_zeta(self), np.linalg.inv(low), 1.0 / sigma
 
 
 @dataclass(frozen=True)
@@ -246,23 +265,28 @@ def _regulator_diagonal(sym: np.ndarray, zeta: complex, w: BandWindow) -> np.nda
     return 1.0 / gaps
 
 
-def ode_regulator(spec: DiffOpSpec, w: BandWindow,
-                  low: OperatorMatrix) -> tuple[np.ndarray, tuple[slice, np.ndarray] | None]:
-    """Two-level right regulator of the compressed ODE on w: (diagonal, low block).
+def ode_regulator(spec: DiffOpSpec, w: BandWindow) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """Two-level right regulator R of the compressed ODE on w: (y -> R y, exact condition number of R).
 
-    The diagonal is (L0 - zeta)^(-1) with zeta from choose_zeta.  low is the
-    finite-section compression on the 2 LOW_MODES + 1 modes |m| <= LOW_MODES;
-    when w holds those modes and low's smallest singular value is at least
-    LOW_BLOCK_MARGIN, the block is (slots of those modes in w, inverse of low),
-    which solve_checked applies there in place of the diagonal.  Otherwise it
-    is None and the diagonal regulates alone.
+    R is the diagonal (L0 - zeta)^(-1), except on the modes |m| <= LOW_MODES
+    when w holds them and spec._low_regulator has a block: there it is the
+    inverse of the finite-section compression on those modes.  The condition
+    number is the ratio of the largest to the smallest of 1/|sym - zeta| off
+    the block and the block inverse's singular values.
     """
-    reg = _regulator_diagonal(spec.symbol(w.modes()), choose_zeta(spec), w)
-    n_low = low.window.N
-    if w.N < n_low or np.linalg.svd(low.entries, compute_uv=False)[-1] < LOW_BLOCK_MARGIN:
-        return reg, None
-    start = w.n_minus - low.window.n_minus
-    return reg, (slice(start, start + n_low), np.linalg.inv(low.entries))
+    zeta, inverse, inverse_sigma = spec._low_regulator
+    reg = _regulator_diagonal(spec.symbol(w.modes()), zeta, w)
+    mag = np.abs(reg)
+    if inverse is None or w.N < 2 * LOW_MODES + 1:
+        return (lambda y: reg * y), float(mag.max() / mag.min())
+    slots = slice(w.n_minus - LOW_MODES, w.n_minus + LOW_MODES + 1)
+    mag[slots] = inverse_sigma
+
+    def regulate(y):
+        x = reg * y
+        x[slots] = inverse @ y[slots]
+        return x
+    return regulate, float(mag.max() / mag.min())
 
 
 def assemble_regulator(spec: DiffOpSpec, zeta: complex, w: BandWindow) -> OperatorMatrix:

@@ -1,5 +1,7 @@
 """Tests for the periodic differential equation solvers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from circspec import (
     sobolev_norm,
 )
 import circspec.ode
-from circspec.operators import LOW_MODES, ode_regulator
+import circspec.operators
+from circspec.operators import LOW_MODES, choose_zeta, ode_regulator
 from circspec.problems import third_order_ode
 
 from oracles import apply_diff_op
@@ -151,6 +154,37 @@ class TestFailureModes:
         with pytest.raises(SolveError, match="condition estimate"):
             solve_ode(spec, f, BandWindow(9), cond_cap=2.0)
 
+    @pytest.mark.parametrize("n", [9, 64])
+    def test_dead_mode_avoided(self, n):
+        # the symbol i m^3 of -d^3 vanishes at m = 0; data off it is solved
+        # with zero there.  (Collocation leaves about 2e-17 at m = 0 when it
+        # interpolates this data, which the dead-mode check counts as data.)
+        spec = DiffOpSpec.from_orders({3: -1.0})
+        u = solve_ode(spec, CoeffVec.from_dict({1: 1.0, 2: 1.0}), BandWindow(n))
+        expected = {1: -1j, 2: -1j / 8}
+        assert all(abs(u.get(m) - expected.get(m, 0.0)) <= 1e-14 for m in BandWindow(n).modes())
+
+    @pytest.mark.parametrize("n", [9, 64])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_dead_mode_reported(self, n, mode):
+        spec = DiffOpSpec.from_orders({3: -1.0})
+        message = "condition estimate inf (symbol vanishes at mode 0 with nonzero data)"
+        with pytest.raises(SolveError, match=re.escape(message)):
+            solve_ode(spec, CoeffVec.from_dict({0: 1.0, 1: 1.0}), BandWindow(n), mode=mode)
+
+    @pytest.mark.parametrize("n", [9, 65])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_singular_regulated_compression(self, n, mode):
+        # -d^2 with the -1 as a variable part: m^2 - 1 vanishes at m = +-1,
+        # and the gate must reject data there although no dead-mode check runs
+        spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: -1.0}),))
+        for data in ({1: 1.0}, {0: 1.0, 1: 1.0}):
+            with pytest.raises(SolveError, match="condition estimate"):
+                solve_ode(spec, CoeffVec.from_dict(data), BandWindow(n), mode=mode)
+        u = solve_ode(spec, CoeffVec.from_dict({0: 1.0, 2: 1.0}), BandWindow(n), mode=mode)
+        expected = {0: -1.0, 2: 1.0 / 3.0}
+        assert all(abs(u.get(m) - expected.get(m, 0.0)) <= 1e-12 for m in BandWindow(n).modes())
+
 
 class TestConvergenceBehavior:
     def test_errors_decrease_against_reference(self):
@@ -229,8 +263,45 @@ class TestTwoLevelRegulator:
         # -d^2 - 1 + g: g's modes +-20 do not couple inside |m| <= 8, so the low
         # block is diagonal with smallest singular value |g0| at m = +-1, and 1
         # at m = 0 for g0 = 2; below 1/2 the diagonal regulator runs alone
-        spec = DiffOpSpec.from_orders({2: -1.0, 0: -1.0}, var=(CoeffVec.from_dict({-20: 0.1, 0: g0, 20: 0.1}),))
-        low = assemble_finite_section_ode(spec, BandWindow(2 * LOW_MODES + 1))
-        assert (ode_regulator(spec, BandWindow(n), low)[1] is not None) == uses_block
+        # (test_regulator_matches_dense checks which)
+        spec = minus_d2_minus_1_plus_g(g0)
         rhs = CoeffVec.from_dict({-1: 1.0, 1: 0.5j, 19: 0.3})
         assert_matches_dense_lu(spec, rhs, n, mode, rtol=1e-9)
+
+    @pytest.mark.parametrize("case, uses_block", [(0.0, False), (1e-6, False), (2.0, True), ("ode3", True)],
+                             ids=["g0=0", "g0=1e-6", "g0=2", "ode3"])
+    @pytest.mark.parametrize("n", [9, 41, 129])
+    def test_regulator_matches_dense(self, case, uses_block, n):
+        # R's columns are those of diag(1 / (sym - zeta)) with the inverse of
+        # the 17-mode compression on its slots when the block applies; the
+        # returned condition number is that matrix's
+        spec = third_order_ode(1.51, 401)[0] if case == "ode3" else minus_d2_minus_1_plus_g(case)
+        w = BandWindow(n)
+        dense = np.diag(1.0 / (spec.symbol(w.modes()) - choose_zeta(spec)))
+        if uses_block and n >= 2 * LOW_MODES + 1:
+            low = assemble_finite_section_ode(spec, BandWindow(2 * LOW_MODES + 1)).entries
+            slots = slice(w.n_minus - LOW_MODES, w.n_minus + LOW_MODES + 1)
+            dense[slots, slots] = np.linalg.inv(low)
+        regulate, cond = ode_regulator(spec, w)
+        columns = np.column_stack([regulate(e) for e in np.eye(n, dtype=complex)])
+        assert np.linalg.norm(columns - dense) <= 1e-14 * np.linalg.norm(dense)
+        assert abs(cond - np.linalg.cond(dense)) <= 1e-10 * cond
+
+    def test_regulator_built_once_per_operator(self, monkeypatch):
+        # the shift and the low block depend only on the operator
+        calls = {"assemble_finite_section_ode": 0, "choose_zeta": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(circspec.operators, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(circspec.operators, name, counting)
+        spec, rhs = third_order_ode(1.51, 401)
+        for mode in ("finite_section", "collocation"):
+            for n in (33, 128, 401):
+                solve_ode(spec, rhs, BandWindow(n), mode=mode)
+        assert calls == {"assemble_finite_section_ode": 1, "choose_zeta": 1}
+
+
+def minus_d2_minus_1_plus_g(g0):
+    """-d^2 - 1 + g with g = 0.1 e^{-20 i theta} + g0 + 0.1 e^{20 i theta}."""
+    return DiffOpSpec.from_orders({2: -1.0, 0: -1.0}, var=(CoeffVec.from_dict({-20: 0.1, 0: g0, 20: 0.1}),))
