@@ -1,10 +1,10 @@
 """Matrix-free linear solves: regulated GMRES with a conditioning gate and a residual check.
 
 solve_checked needs only the product x -> A x.  Given a right regulator R,
-passed as the product y -> R y with R's exact condition number, it runs
-GMRES (Saad & Schultz 1986) on A R y = f and returns x = R y.  For the
-operators solved here A R is the identity plus a compact operator, so the
-iteration count stays flat as the window grows.
+passed as the product y -> R y, it runs GMRES (Saad & Schultz 1986) on
+A R y = f, gates the condition estimate of A R and returns x = R y.  For
+the operators solved here A R is the identity plus a compact operator, so
+its condition and the iteration count stay flat as the window grows.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ class SolveError(RuntimeError):
 
 
 def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
-                  regulator: tuple[Callable[[np.ndarray], np.ndarray], float] | None = None,
+                  regulator: Callable[[np.ndarray], np.ndarray] | None = None,
                   cond_cap: float = 1e12, context: str = "linear solve") -> np.ndarray:
     """Solve apply(x) = rhs by GMRES on apply(R y) = rhs; return x = R y.
 
-    regulator is (R, cond): the product y -> R y and the exact condition
-    number of R; None stands for the identity.  The condition estimate is
-    sigma_max / sigma_min of the Arnoldi Hessenberg matrix, times cond.
-    This keeps it on the scale of the unregulated matrix.
+    regulator is the product y -> R y; None stands for the identity.  The
+    condition estimate is sigma_max / sigma_min of the Arnoldi Hessenberg
+    matrix of the regulated operator x -> apply(R x), gated against cond_cap.
 
     GMRES stops when its residual estimate falls below GMRES_TOL relative
     to the right-hand side, or after min(N, MAX_ITER) iterations.  When the
@@ -48,19 +47,22 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     side or the operator's output is not finite.  A zero right-hand side
     returns zero without iterating.
     """
-    rhs = np.asarray(rhs, dtype=complex)
-    beta = float(np.linalg.norm(rhs))
-    if beta == 0.0:
+    rhs = np.ascontiguousarray(rhs, dtype=complex)
+    top = float(np.abs(rhs.view(float)).max(initial=0.0))
+    if top == 0.0:
         return np.zeros(rhs.size, dtype=complex)
-    if not math.isfinite(beta):
+    if not math.isfinite(top):
         raise SolveError(f"{context}: right-hand side is not finite")
-    regulate, reg_cond = regulator if regulator is not None else (lambda y: y, 1.0)
+    # solve for rhs 2^-e, whose largest part is in [1/2, 1): exact, and its norm cannot under/overflow
+    e = math.frexp(top)[1]
+    rhs = np.ldexp(rhs.view(float), -e).view(complex)
+    beta = float(np.linalg.norm(rhs))
+    regulate = regulator if regulator is not None else (lambda y: y)
 
     def op(y):
         return apply(regulate(y))
 
     y, cond, steps, met = _gmres(op, rhs, beta, context)
-    cond *= reg_cond
     if not np.isfinite(cond) or cond > cond_cap:
         raise SolveError(
             f"{context}: condition estimate {cond:.3e} exceeds cap {cond_cap:.1e} "
@@ -80,7 +82,7 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
             f"{context}: residual {resid:.3e} exceeds 1e-10 of the right-hand side "
             f"after {steps} GMRES iterations"
         )
-    return x
+    return np.ldexp(x.view(float), e).view(complex)
 
 
 def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: float,

@@ -4,9 +4,10 @@ solve_ode compresses the operator to the window with either the truncation
 projection (finite-section) or trigonometric interpolation (collocation),
 applies the compression matrix-free and solves by GMRES, right-regulated so
 that the operator becomes identity plus compact.  Every operator, with or
-without a variable part, takes that one path, with the regulator and its
-condition number from operators.ode_regulator.  exact_constant_solve is the
-diagonal oracle for operators without a variable part.
+without a variable part, takes that one path, with the regulator from
+operators.ode_regulator and the gate on the regulated operator's condition.
+exact_constant_solve is the diagonal oracle for operators without a
+variable part.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
-from .linsolve import SolveError, solve_checked
+from .linsolve import GMRES_TOL, SolveError, solve_checked
 from .operators import DiffOpSpec, check_mode, ode_matvec, ode_regulator
 # not called here: bench/spans.py times the dense assemblers where this module looks them up
 from .operators import assemble_collocation_ode, assemble_finite_section_ode  # noqa: F401
@@ -31,10 +32,11 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
     operator and the right-hand side alike.  The low-mode block of the
     regulator is the finite-section compression's inverse in both modes; in
     collocation it is off by the aliased coefficients, which only costs
-    iterations.  The condition estimate gated against cond_cap is on the
-    scale of the unregulated matrix (see solve_checked).  An operator
-    without a variable part is diagonal: a mode where its symbol vanishes is
-    solvable iff the data avoids it, and then carries zero.
+    iterations.  cond_cap bounds the regulated operator's condition
+    estimate (see solve_checked).  An operator without a variable part is
+    diagonal: a mode where its symbol vanishes is solvable iff the data
+    there is below GMRES_TOL |rhs|, collocation's roundoff, and then
+    carries zero.
     """
     check_mode(mode)
     if mode == "finite_section":
@@ -43,7 +45,7 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
         rhs = interpolate(evaluate_on_grid(f, w.N)).coeffs
     context = f"{mode} solve at N={w.N}"
     if not spec.has_variable_part():
-        hit = (spec.symbol(w.modes()) == 0.0) & (rhs != 0.0)
+        hit = (spec.symbol(w.modes()) == 0.0) & (np.abs(rhs) > GMRES_TOL * np.linalg.norm(rhs))
         if np.any(hit):
             m = int(w.modes()[np.argmax(hit)])
             raise SolveError(

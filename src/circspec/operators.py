@@ -6,12 +6,11 @@ differential operators and of the singular-integral operator matrix-free
 O(N log N) work: a collocation product is the circulant of the coefficients
 folded mod N, a finite-section product embeds the Toeplitz matrix.
 
-ode_regulator is the ODE solver's right regulator and its exact condition
-number, and the only code that knows its two levels: the exact inverse of
-the finite-section compression on the modes |m| <= LOW_MODES, and the
-diagonal (L0 - zeta)^(-1) on every other mode.  The shift, the low block's
-inverse and its singular values depend only on the operator, so each
-DiffOpSpec builds them once.
+ode_regulator is the ODE solver's right regulator, and the only code that
+knows its two levels: the exact inverse of the finite-section compression
+on the modes |m| <= LOW_MODES, and the diagonal (L0 - zeta)^(-1) on every
+other mode.  The shift and the low block's inverse depend only on the
+operator, so each DiffOpSpec builds them once.
 
 Dense assembly over the modes of a BandWindow is kept for the eigensolver,
 for the regulator's low block and as the reference the matrix-free products
@@ -129,19 +128,17 @@ class DiffOpSpec:
         return out
 
     @cached_property
-    def _low_regulator(self) -> tuple[complex, np.ndarray | None, np.ndarray | None]:
-        """(zeta, inverse of the low block, the inverse's singular values), built once.
+    def _low_regulator(self) -> tuple[complex, np.ndarray | None]:
+        """(zeta, inverse of the low block), built once.
 
         zeta is choose_zeta's shift.  The low block is the finite-section
         compression on the 2 LOW_MODES + 1 modes |m| <= LOW_MODES; its inverse
-        and singular values are None when its smallest singular value is below
-        LOW_BLOCK_MARGIN, so a singular block is never divided by.
+        is None when its smallest singular value is below LOW_BLOCK_MARGIN, so
+        a singular block is never divided by.
         """
         low = assemble_finite_section_ode(self, BandWindow(2 * LOW_MODES + 1)).entries
-        sigma = np.linalg.svd(low, compute_uv=False)
-        if sigma[-1] < LOW_BLOCK_MARGIN:
-            return choose_zeta(self), None, None
-        return choose_zeta(self), np.linalg.inv(low), 1.0 / sigma
+        singular = np.linalg.svd(low, compute_uv=False)[-1] < LOW_BLOCK_MARGIN
+        return choose_zeta(self), None if singular else np.linalg.inv(low)
 
 
 @dataclass(frozen=True)
@@ -241,18 +238,34 @@ def assemble_cauchy_projectors(w: BandWindow) -> tuple[OperatorMatrix, OperatorM
 def choose_zeta(spec: DiffOpSpec) -> complex:
     """Pick a spectral shift zeta further than 1/2 from every constant-part symbol value.
 
-    The first of ZETA_CANDIDATES to clear them wins.  For |m| >= 1, |symbol(m)| >=
-    |c_k| |m| - sum_{j<k} |c_j|, so only |m| <= (max|candidate| + 1/2 + sum_{j<k} |c_j|)
-    / |c_k| (capped at 2^20) can come near a candidate; m = 0 covers a constant symbol.
+    The first of ZETA_CANDIDATES to clear them wins.  Only a symbol value of
+    modulus <= max|candidate| + 1/2 can come near a candidate, so the modes
+    |m| <= _symbol_reach of that radius (capped at 2^20) are checked; a
+    constant symbol (k = 0) has its one value at m = 0.
     """
-    reach = max(abs(z) for z in ZETA_CANDIDATES) + 0.5
-    c = np.abs(spec.const_coeffs)
-    m_max = int(min((reach + c[:-1].sum()) / c[-1], 2 ** 20))
-    symbols = spec.symbol(np.arange(-m_max, m_max + 1))
+    radius = max(abs(z) for z in ZETA_CANDIDATES) + 0.5
+    reach = max(_symbol_reach(spec, radius, 2 ** 20), 0) if spec.k else 0
+    symbols = spec.symbol(np.arange(-reach, reach + 1))
     for cand in ZETA_CANDIDATES:
         if np.min(np.abs(symbols - cand)) > 0.5:
             return cand
     raise ValueError(f"no shift among the {len(ZETA_CANDIDATES)} candidates clears the symbol set")
+
+
+def _symbol_reach(spec: DiffOpSpec, r: float, cap: int) -> int:
+    """Largest |m| <= cap with |symbol(m)| <= r, or -1 when there is none.
+
+    Once |m| >= 2 sum_{j<k} |c_j| / |c_k|, |symbol(m)| >= |c_k| |m|^k / 2, so
+    only |m| <= max(that, (2 r / |c_k|)^(1/k)) are scanned.  A constant symbol
+    is within r at every mode or at none.
+    """
+    c = np.abs(spec.const_coeffs)
+    if spec.k == 0:
+        return cap if c[0] <= r else -1
+    bound = max(2.0 * c[:-1].sum() / c[-1], (2.0 * r / c[-1]) ** (1.0 / spec.k))
+    m = np.arange(int(min(bound, cap)) + 1)
+    near = np.flatnonzero(np.minimum(np.abs(spec.symbol(m)), np.abs(spec.symbol(-m))) <= r)
+    return int(near[-1]) if near.size else -1
 
 
 def _regulator_diagonal(sym: np.ndarray, zeta: complex, w: BandWindow) -> np.ndarray:
@@ -265,44 +278,29 @@ def _regulator_diagonal(sym: np.ndarray, zeta: complex, w: BandWindow) -> np.nda
     return 1.0 / gaps
 
 
-def ode_regulator(spec: DiffOpSpec, w: BandWindow) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """Two-level right regulator R of the compressed ODE on w: (y -> R y, exact condition number of R).
+def ode_regulator(spec: DiffOpSpec, w: BandWindow) -> Callable[[np.ndarray], np.ndarray]:
+    """Two-level right regulator of the compressed ODE on w, as the product y -> R y.
 
     R is the diagonal (L0 - zeta)^(-1), except on the modes |m| <= LOW_MODES
     when w holds them and spec._low_regulator has a block: there it is the
-    inverse of the finite-section compression on those modes.  The condition
-    number is the ratio of the largest to the smallest of 1/|sym - zeta| off
-    the block and the block inverse's singular values.
+    inverse of the finite-section compression on those modes.
     """
-    zeta, inverse, inverse_sigma = spec._low_regulator
+    zeta, inverse = spec._low_regulator
     reg = _regulator_diagonal(spec.symbol(w.modes()), zeta, w)
-    mag = np.abs(reg)
     if inverse is None or w.N < 2 * LOW_MODES + 1:
-        return (lambda y: reg * y), float(mag.max() / mag.min())
+        return lambda y: reg * y
     slots = slice(w.n_minus - LOW_MODES, w.n_minus + LOW_MODES + 1)
-    mag[slots] = inverse_sigma
 
     def regulate(y):
         x = reg * y
         x[slots] = inverse @ y[slots]
         return x
-    return regulate, float(mag.max() / mag.min())
+    return regulate
 
 
 def assemble_regulator(spec: DiffOpSpec, zeta: complex, w: BandWindow) -> OperatorMatrix:
     """Diagonal inverse of (constant part - zeta Id) on the window."""
     return OperatorMatrix(w, np.diag(_regulator_diagonal(spec.symbol(w.modes()), zeta, w)))
-
-
-def _variable_part_toeplitz(spec: DiffOpSpec, w: BandWindow) -> np.ndarray:
-    """sum_j Toeplitz(a_j) diag((i m)^j) on the window."""
-    modes = w.modes()
-    out = np.zeros((w.N, w.N), dtype=complex)
-    for j, a in enumerate(spec.var_coeffs):
-        t = _toeplitz_entries(a, w)
-        # (i m)^0 = 1, so order 0 adds its Toeplitz matrix unscaled
-        out += t * (1j * modes[None, :]) ** j if j else t
-    return out
 
 
 def assemble_finite_section_ode(spec: DiffOpSpec, w: BandWindow) -> OperatorMatrix:
@@ -312,8 +310,13 @@ def assemble_finite_section_ode(spec: DiffOpSpec, w: BandWindow) -> OperatorMatr
     diagonal symbol plus, for each variable order j, the Toeplitz matrix of
     a_j times the diagonal of (i m)^j.
     """
-    entries = _variable_part_toeplitz(spec, w)
-    entries[np.diag_indices(w.N)] += spec.symbol(w.modes())
+    modes = w.modes()
+    entries = np.zeros((w.N, w.N), dtype=complex)
+    for j, a in enumerate(spec.var_coeffs):
+        t = _toeplitz_entries(a, w)
+        # (i m)^0 = 1, so order 0 adds its Toeplitz matrix unscaled
+        entries += t * (1j * modes[None, :]) ** j if j else t
+    entries[np.diag_indices(w.N)] += spec.symbol(modes)
     return OperatorMatrix(w, entries)
 
 

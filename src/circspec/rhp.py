@@ -3,8 +3,8 @@
 A sectionally analytic phi with phi(inf) = 1 and boundary jump
 phi+ = phi- g is sought as phi = 1 + Cauchy transform of a density u.  The
 density solves C+ u - (C- u) g = g - 1, which is compressed to a window,
-applied matrix-free and solved by GMRES; the operator is already identity
-plus compact, so no regulator is needed.  phi is reconstructed off the
+applied matrix-free and solved by GMRES unregulated (the operator is the
+identity plus a compact one only as g -> 1).  phi is reconstructed off the
 circle from truncated Laurent sums of u.  Each sum reads one contiguous
 slice of u's coefficients, forward for the modes j >= 0 and reversed for
 j <= -1, and sums it as a power series in z or 1/z whose powers are

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fourier import BandWindow, sobolev_weights
-from .operators import DiffOpSpec, assemble_finite_section_ode
+from .operators import DiffOpSpec, _symbol_reach, assemble_finite_section_ode
 
 __all__ = [
     "EigenReport",
@@ -269,21 +269,13 @@ def truncation_coincidence(spec: DiffOpSpec, w: BandWindow, c: float) -> Truncat
     radius = float(c) * float(w.N) ** (spec.k - 1)
     inside = report.eigenvalues[np.abs(report.eigenvalues) <= radius]
 
-    # tail symbol values with modulus below the radius; the symbol grows
-    # without bound, so scanning octaves until one stays clear suffices
-    tails = []
-    for direction, start in ((1, w.n_plus + 1), (-1, w.n_minus + 1)):
-        m_lo, m_hi = start, max(2 * start, start + 16)
-        while True:
-            ms = direction * np.arange(m_lo, m_hi + 1)
-            sym = np.real(spec.symbol(ms))
-            tails.extend(sym[np.abs(sym) <= radius].tolist())
-            if np.all(np.abs(sym) > radius) and m_hi >= 4 * w.N:
-                break
-            if m_hi > (1 << 22):
-                raise ValueError("tail symbol scan did not terminate; radius too large")
-            m_lo, m_hi = m_hi + 1, 2 * m_hi
-    full = np.sort(np.concatenate([inside, np.asarray(tails, dtype=float)]))
+    # tail symbol values with modulus below the radius, on the modes outside the window
+    reach = _symbol_reach(spec, radius, (1 << 22) + 1)
+    if reach > 1 << 22:
+        raise ValueError("tail symbol scan did not terminate; radius too large")
+    sym = np.real(spec.symbol(np.r_[w.n_plus + 1:reach + 1, -reach:-w.n_minus]))
+    tails = sym[np.abs(sym) <= radius]
+    full = np.sort(np.concatenate([inside, tails]))
     return TruncationCoincidence(
         radius=radius,
         finite_section=np.sort(inside),

@@ -275,6 +275,12 @@ class TestCli:
         text = (tmp_path / "s.csv").read_text()
         assert text.startswith("N,lambda,d,r")
 
+    def test_large_reference_solves(self, tmp_path, capsys):
+        # the regulated estimate stays near 1 at N_ref 20001, far below the 1e12 cap
+        cfg = self.write_cfg(tmp_path, {"experiment": "ode3", "N_list": [40, 80], "N_ref": 20001,
+                                        "output_path": str(tmp_path / "o.csv")})
+        assert main_solve_ode(["--config", cfg]) == 0
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main_convergence(["--config", str(tmp_path / "nope.json")]) == 2
 

@@ -17,14 +17,23 @@ class TestSolveChecked:
         assert np.linalg.norm(x - np.linalg.solve(a, f)) <= 1e-12 * np.linalg.norm(x)
 
     def test_regulator_ratio_scales_condition(self):
-        # with R the exact inverse, GMRES sees the identity and the estimate
-        # is R's exact condition number max|d| / min|d| = 40
+        # with R = diag(d)^(-1/2), GMRES sees A R = diag(d)^(1/2) on all 16 modes,
+        # and the estimate is its condition number sqrt(40 / 1) = 6.325
         d = np.linspace(1.0, 40.0, 16) + 0j
         f = np.ones(16, dtype=complex)
-        x = solve_checked(lambda v: d * v, f, (lambda v: v / d, 40.0), cond_cap=41.0)
+        x = solve_checked(lambda v: d * v, f, lambda v: v / np.sqrt(d), cond_cap=6.4)
         assert np.allclose(x, f / d, rtol=1e-14)
-        with pytest.raises(SolveError, match="condition estimate 4.0"):
-            solve_checked(lambda v: d * v, f, (lambda v: v / d, 40.0), cond_cap=39.0)
+        with pytest.raises(SolveError, match="condition estimate 6.325"):
+            solve_checked(lambda v: d * v, f, lambda v: v / np.sqrt(d), cond_cap=6.3)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e150, 1e300])
+    def test_solution_scales_with_rhs(self, scale):
+        # squaring entries of these sizes underflows or overflows; the solve must not
+        rng = np.random.default_rng(7)
+        a = np.eye(16) + 0.2 * rng.standard_normal((16, 16)) / 4.0
+        f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        x = solve_checked(lambda v: a @ v, scale * f)
+        assert np.linalg.norm(x / scale - np.linalg.solve(a, f)) <= 1e-13 * np.linalg.norm(x / scale)
 
     def test_singular_operator_reports_condition(self):
         d = np.array([0.0, 1.0, 2.0, 3.0], dtype=complex)

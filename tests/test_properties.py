@@ -1,7 +1,10 @@
 """Hypothesis properties: the flip-split eigensolve, the projection identities at random N,
 slice windowing against index-array reads, the Toeplitz entries against their definition,
-the regulator shift against the symbol values it must avoid, and the jump check's winding
-and minimum modulus against Rouche's theorem."""
+the regulator shift against the symbol values it must avoid, the jump check's winding
+and minimum modulus against Rouche's theorem, and solve_ode and solve_rhp against dense
+LU over random operators of the paper's class."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -14,14 +17,19 @@ from circspec import (  # noqa: E402
     CoeffVec,
     DiffOpSpec,
     JumpSpec,
+    SolveError,
     align_windows,
+    assemble_collocation_ode,
     assemble_finite_section_ode,
+    assemble_sie,
     choose_zeta,
     eigenvalues_self_adjoint,
     evaluate_on_grid,
     interpolate,
     project,
     sobolev_norm,
+    solve_ode,
+    solve_rhp,
 )
 from circspec.operators import _toeplitz_entries  # noqa: E402
 from circspec.problems import rhp_jump  # noqa: E402
@@ -196,3 +204,101 @@ def test_jump_winding_and_modulus_follow_rouche(case):
     jump = JumpSpec.from_coeffs(g)
     assert jump.winding == k
     assert c_abs - r_sum - 1e-12 * c_abs <= jump.min_modulus <= c_abs + r_sum + 1e-12 * c_abs
+
+
+def _check_against_dense(solve, a, rhs):
+    """The solver's contract against the dense compression a and its right-hand side.
+
+    Below a dense condition of 1e8 the solve succeeds and agrees with LU to
+    1e-13 cond, relative; an exactly singular a (sigma_min = 0 or cond >= 1e16)
+    raises SolveError; any success leaves a dense residual of at most 1e-10
+    |rhs|, plus 1e-14 |a| |x| because the solver checks its residual with the
+    matrix-free product, which rounds differently from a @ x by a few eps |a| |x|.
+    No other exception and no warning may occur.
+    """
+    sigma = np.linalg.svd(a, compute_uv=False)
+    cond = sigma[0] / sigma[-1] if sigma[-1] > 0.0 else np.inf
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = solve()
+    except SolveError:
+        assert cond >= 1e8
+        return
+    assert cond < 1e16
+    assert np.linalg.norm(a @ x - rhs) <= 1e-10 * np.linalg.norm(rhs) + 1e-14 * sigma[0] * np.linalg.norm(x)
+    if cond < 1e8:
+        lu = np.linalg.solve(a, rhs)
+        assert np.linalg.norm(x - lu) <= 1e-13 * cond * np.linalg.norm(lu)
+
+
+def _decaying(rng, width, decay):
+    """Random complex coefficients on `width` modes centred on 0, scaled by (1 + |j|)^-decay."""
+    lo = -(width // 2)
+    j = np.arange(lo, lo + width)
+    c = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) * (1.0 + np.abs(j)) ** -decay
+    return CoeffVec(lo, c)
+
+
+@st.composite
+def ode_cases(draw):
+    """(operator, data, N, mode): a random operator of the paper's class, or -d^2 - (25 + delta) + g.
+
+    The general case has orders k 1..4 and q 0..k with random complex constant
+    coefficients, and variable orders p < k whose coefficients have width 1..11 and
+    decay (1+|j|)^(-0.5..-3).  In the near-singular case the symbol is -delta at
+    m = +-5, and g, when present, is delta times such a coefficient.  The data is
+    nonzero on every mode, so a vanishing symbol always meets data.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 89))
+    mode = draw(st.sampled_from(["finite_section", "collocation"]))
+    if draw(st.integers(0, 4)) == 0:
+        delta = 10.0 ** -draw(st.floats(6.0, 13.0))
+        var = (_decaying(rng, draw(st.integers(1, 11)), 1.0).scaled(delta),) if draw(st.booleans()) else ()
+        spec = DiffOpSpec.from_orders({2: -1.0, 0: -(25.0 + delta)}, var=var)
+    else:
+        k = draw(st.integers(1, 4))
+        q = draw(st.integers(0, k))
+        const = {j: complex(*rng.standard_normal(2)) for j in range(q, k + 1)}
+        var = tuple(_decaying(rng, draw(st.integers(1, 11)), draw(st.floats(0.5, 3.0)))
+                    for _ in range(draw(st.integers(0, k))))
+        spec = DiffOpSpec.from_orders(const, var=var)
+    return spec, _decaying(rng, 2 * n + 3, 1.0), n, mode
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(case=ode_cases())
+@hypothesis.example(case=(DiffOpSpec.from_orders({2: -1.0, 0: -(25.0 + 1e-11)}), CoeffVec.from_dict({5: 1.0, 1: 1.0}),
+                          65, "finite_section"))
+@hypothesis.example(case=(DiffOpSpec.from_orders({3: -1.0}), CoeffVec.from_dict({0: 1.0, 1: 1.0}), 9, "collocation"))
+def test_solve_ode_agrees_with_dense_solve(case):
+    spec, f, n, mode = case
+    w = BandWindow(n)
+    if mode == "finite_section":
+        a, rhs = assemble_finite_section_ode(spec, w).entries, project(f, w).coeffs
+    else:
+        a, rhs = assemble_collocation_ode(spec, w).entries, interpolate(evaluate_on_grid(f, n)).coeffs
+    _check_against_dense(lambda: solve_ode(spec, f, w, mode=mode).coeffs, a, rhs)
+
+
+@st.composite
+def rhp_cases(draw):
+    """(jump 1 + h with |h|_l1 < 1, N, mode); such a jump has winding 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = _decaying(rng, draw(st.integers(1, 11)), draw(st.floats(0.5, 3.0)))
+    h = h.scaled(draw(st.floats(0.0, 0.99)) / np.abs(h.coeffs).sum())
+    g = CoeffVec(h.j_min, h.coeffs + (h.modes() == 0))
+    # the solver's right-hand side is g - 1 as rounded, not h
+    h = CoeffVec(g.j_min, g.coeffs - (g.modes() == 0))
+    return JumpSpec.from_coeffs(g), h, draw(st.integers(1, 89)), draw(st.sampled_from(["finite_section", "collocation"]))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(case=rhp_cases())
+def test_solve_rhp_agrees_with_dense_solve(case):
+    jump, h, n, mode = case
+    assert jump.winding == 0
+    w = BandWindow(n)
+    rhs = project(h, w).coeffs if mode == "finite_section" else interpolate(evaluate_on_grid(h, n)).coeffs
+    _check_against_dense(lambda: solve_rhp(jump, w, mode=mode).u.coeffs, assemble_sie(jump, w, mode).entries, rhs)

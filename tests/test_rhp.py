@@ -19,6 +19,7 @@ from circspec import (
     solve_rhp,
     winding_number,
 )
+import circspec.rhp
 from circspec.problems import rhp_jump
 
 
@@ -208,6 +209,26 @@ class TestMatrixFreeSolve:
         jump = JumpSpec.from_coeffs(CoeffVec.from_dict(coeffs))
         with pytest.raises(SolveError, match="condition estimate inf.*Fredholm index"):
             solve_rhp(jump, BandWindow(n), mode=mode)
+
+
+class TestUniformStability:
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_operator_stays_well_conditioned(self, monkeypatch, mode):
+        # the estimate (1.02 to 1.04) and the Arnoldi steps, every product but the
+        # residual check, stay flat in N
+        calls = []
+        product = circspec.rhp._sie_product
+
+        def counting(*args):
+            apply = product(*args)
+            return lambda x: calls.append(1) or apply(x)
+
+        monkeypatch.setattr(circspec.rhp, "_sie_product", counting)
+        jump = rhp_jump(1.51, 0.01, 20001)
+        for n in (33, 401, 2001, 20001):
+            calls.clear()
+            solve_rhp(jump, BandWindow(n), mode=mode, cond_cap=1.05)
+            assert len(calls) - 1 <= 7, n
 
 
 class TestEvaluatePhiAgainstLoop:

@@ -248,6 +248,15 @@ class TestTruncationCoincidence:
         assert len(rep.full_space) > len(rep.finite_section)
 
 
+    def test_tail_dip_beyond_clear_modes(self):
+        # m^2 - 1e6 clears the radius 2.05 on the tail modes up to |m| = 998,
+        # then vanishes at m = +-1000; the compression has no eigenvalue inside
+        spec = DiffOpSpec.from_orders({2: -1.0, 0: -1e6})
+        rep = truncation_coincidence(spec, BandWindow(41), 0.05)
+        assert np.array_equal(rep.full_space, [0.0, 0.0])
+        assert rep.hausdorff == np.inf
+
+
 class TestEigenfunctionDecay:
     def test_norm_growth_bounded_by_eigenvalue(self):
         # ||v||_2 / (|lambda| + 2)^1 stays within a common constant across
