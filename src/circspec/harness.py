@@ -54,19 +54,19 @@ MAX_SOLVER_N = 2 ** 20
 MAX_SPECTRUM_N = 4096
 
 _DEFAULTS: dict[str, dict] = {
-    "ode3": dict(alpha=1.51, epsilon=0.0, s=0.0, t=1.0,
+    "ode3": dict(alpha=1.51, epsilon=0.0, s=0.0,
                  N_list=list(range(40, 401, 20)), N_ref=2001,
                  mode="finite_section", output_path="ode3.csv",
                  lambda_cap=50.0, g_scale=1.0),
-    "rhp": dict(alpha=1.51, epsilon=0.01, s=0.25, t=1.0,
+    "rhp": dict(alpha=1.51, epsilon=0.01, s=0.25,
                 N_list=list(range(40, 401, 20)), N_ref=2000,
                 mode="finite_section", output_path="rhp.csv",
                 lambda_cap=50.0, g_scale=1.0),
-    "spectrum2": dict(alpha=2.51, epsilon=0.0, s=0.0, t=0.0,
+    "spectrum2": dict(alpha=2.51, epsilon=0.0, s=0.0,
                       N_list=[41, 81, 161, 321], N_ref=501,
                       mode="finite_section", output_path="spectrum2.csv",
                       lambda_cap=50.0, g_scale=1.0),
-    "spectrum3": dict(alpha=2.51, epsilon=0.0, s=0.0, t=0.0,
+    "spectrum3": dict(alpha=2.51, epsilon=0.0, s=0.0,
                       N_list=[41, 81, 161, 321], N_ref=501,
                       mode="finite_section", output_path="spectrum3.csv",
                       lambda_cap=50.0, g_scale=1.0),
@@ -107,7 +107,6 @@ class ExperimentConfig:
     alpha: float
     epsilon: float
     s: float
-    t: float
     N_list: list[int]
     N_ref: int
     mode: str
@@ -127,7 +126,7 @@ class ExperimentConfig:
             raise ConfigError("spectrum experiments support only the finite_section mode")
         if not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
-        for name in ("alpha", "epsilon", "s", "t", "lambda_cap", "g_scale"):
+        for name in ("alpha", "epsilon", "s", "lambda_cap", "g_scale"):
             setattr(self, name, _as_float(getattr(self, name), name))
         if not isinstance(self.N_list, (list, tuple)):
             raise ConfigError(f"N_list must be a list of integers, got {self.N_list!r}")

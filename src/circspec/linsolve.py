@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = ["SolveError", "solve_checked"]
 
-# most Arnoldi steps per solve; the shipped problems need 6 (ode3) and 7 (rhp)
+# most Arnoldi steps per solve; the shipped problems need 6 (ode3) and 3 (rhp)
 MAX_ITER = 200
 # GMRES stops once its residual estimate falls below this fraction of |rhs|
 GMRES_TOL = 1e-14

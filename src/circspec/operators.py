@@ -6,11 +6,14 @@ differential operators and of the singular-integral operator matrix-free
 O(N log N) work: a collocation product is the circulant of the coefficients
 folded mod N, a finite-section product embeds the Toeplitz matrix.
 
-ode_regulator is the ODE solver's right regulator, and the only code that
-knows its two levels: the exact inverse of the finite-section compression
-on the modes |m| <= LOW_MODES, and the diagonal (L0 - zeta)^(-1) on every
-other mode.  The shift and the low block's inverse depend only on the
-operator, so each DiffOpSpec builds them once.
+ode_regulator and sie_regulator are the solvers' right regulators, each
+returned as the product y -> R y.  ode_regulator is the only code that
+knows the ODE regulator's two levels: the exact inverse of the
+finite-section compression on the modes |m| <= LOW_MODES, and the diagonal
+(L0 - zeta)^(-1) on every other mode.  sie_regulator is C+ - M(1/g) C-,
+the SIE product with 1/g in place of g.  The shift and the low block's
+inverse depend only on the operator, and g - 1 and 1/g - 1 only on the
+jump, so each DiffOpSpec and each JumpSpec builds them once.
 
 Dense assembly over the modes of a BandWindow is kept for the eigensolver,
 for the regulator's low block and as the reference the matrix-free products
@@ -29,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fourier import BandWindow, CoeffVec, evaluate_on_grid, sobolev_weights
+from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, sobolev_weights
 
 __all__ = [
     "DiffOpSpec",
@@ -48,6 +51,7 @@ __all__ = [
     "operator_norm_weighted",
     "ode_matvec",
     "sie_matvec",
+    "sie_regulator",
 ]
 
 MODES = ("finite_section", "collocation")
@@ -162,16 +166,30 @@ class JumpSpec:
     def from_coeffs(cls, g: CoeffVec) -> "JumpSpec":
         return cls(g, *_modulus_and_winding(g))
 
+    @cached_property
+    def _perturbations(self) -> tuple[CoeffVec, CoeffVec]:
+        """(g - 1, 1/g - 1), built once.
 
-def _modulus_and_winding(g: CoeffVec) -> tuple[float, int]:
-    """Minimum of |g| and winding of g about the origin on a grid, from the phase increments.
+        g - 1 lives on g's window widened to hold mode 0.  1/g - 1 is the
+        interpolant of its samples on the grid where _modulus_and_winding
+        stops, on which from_coeffs certified that g has no zero; a g that
+        vanishes there raises ValueError first.
+        """
+        lo = min(self.g.j_min, 0)
+        h = self.g.padded(lo, max(self.g.j_max, 0))
+        h[-lo] -= 1.0
+        return CoeffVec(lo, h), interpolate(1.0 / _certified_samples(self.g) - 1.0)
+
+
+def _certified_samples(g: CoeffVec) -> np.ndarray:
+    """Samples of g on the grid that decides whether it vanishes.
 
     The grid starts at the smallest power of two >= max(2 len(g.coeffs), 64)
     points and doubles while min|g| on it is <= 2 pi L / n, with
     L = sum |j| |g_j| >= max|g'|, up to the cap max(GRID_FACTOR len(g.coeffs), 64).
     Past that bound, g moves less than min|g| between neighbouring points: it
-    has no zero on the circle, and every phase increment, hence the winding,
-    is exact.  Otherwise the cap grid decides, as a surrogate.
+    has no zero on the circle.  Otherwise the cap grid decides, as a
+    surrogate.  Raises ValueError when g is not finite or vanishes on a grid.
     """
     cap = max(GRID_FACTOR * len(g.coeffs), 64)
     lipschitz = float(np.abs(g.modes() * g.coeffs).sum())
@@ -184,10 +202,19 @@ def _modulus_and_winding(g: CoeffVec) -> tuple[float, int]:
         if mm <= 0.0:
             raise ValueError("jump function vanishes on the evaluation grid")
         if n == cap or mm > 2.0 * np.pi * lipschitz / n:
-            break
+            return vals
         n = min(2 * n, cap)
+
+
+def _modulus_and_winding(g: CoeffVec) -> tuple[float, int]:
+    """Minimum of |g| and winding of g about the origin on _certified_samples' grid.
+
+    Where that grid certifies that g has no zero, every phase increment,
+    hence the winding, is exact.
+    """
+    vals = _certified_samples(g)
     increments = np.angle(np.roll(vals, -1) / vals)
-    return mm, int(np.rint(increments.sum() / (2.0 * np.pi)))
+    return float(np.abs(vals).min()), int(np.rint(increments.sum() / (2.0 * np.pi)))
 
 
 @dataclass(frozen=True)
@@ -255,15 +282,28 @@ def choose_zeta(spec: DiffOpSpec) -> complex:
 def _symbol_reach(spec: DiffOpSpec, r: float, cap: int) -> int:
     """Largest |m| <= cap with |symbol(m)| <= r, or -1 when there is none.
 
-    Once |m| >= 2 sum_{j<k} |c_j| / |c_k|, |symbol(m)| >= |c_k| |m|^k / 2, so
-    only |m| <= max(that, (2 r / |c_k|)^(1/k)) are scanned.  A constant symbol
-    is within r at every mode or at none.
+    |symbol(m)| >= |c_k| |m|^k - sum_{j<k} |c_j| |m|^j, and that bound minus r
+    has one sign change, so by Descartes' rule one positive root x*; past it
+    |symbol(m)| > r.  x* is bracketed by doubling and bisected on
+    |c_k| - sum_{j<k} |c_j| x^(j-k) - r x^(-k), which increases in x, and only
+    |m| <= x* (1 + 1e-9), a margin far above the roundoff, are scanned.  A
+    constant symbol is within r at every mode or at none.
     """
-    c = np.abs(spec.const_coeffs)
+    c = [float(v) for v in np.abs(spec.const_coeffs)]
     if spec.k == 0:
         return cap if c[0] <= r else -1
-    bound = max(2.0 * c[:-1].sum() / c[-1], (2.0 * r / c[-1]) ** (1.0 / spec.k))
-    m = np.arange(int(min(bound, cap)) + 1)
+
+    def excess(x):
+        return c[-1] - sum(cj * x ** (j - spec.k) for j, cj in zip(range(spec.q, spec.k), c)) - r * x ** -spec.k
+
+    hi = 1.0
+    while excess(hi) <= 0.0 and hi <= cap:
+        hi *= 2.0
+    lo = hi / 2.0 if hi > 1.0 else hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if excess(mid) > 0.0 else (mid, hi)
+    m = np.arange(int(min(hi * (1.0 + 1e-9), cap)) + 1)
     near = np.flatnonzero(np.minimum(np.abs(spec.symbol(m)), np.abs(spec.symbol(-m))) <= r)
     return int(near[-1]) if near.size else -1
 
@@ -356,7 +396,7 @@ def assemble_sie(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") ->
     """
     check_mode(mode)
     modes = w.modes()
-    h = _jump_minus_one(jump)
+    h = jump._perturbations[0]
     entries = np.eye(w.N, dtype=complex)
     neg = modes < 0
     if mode == "finite_section":
@@ -366,13 +406,6 @@ def assemble_sie(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") ->
         phases = np.exp(1j * np.outer(w.grid(), modes[neg]))
         entries[:, neg] += _interpolate_columns(hvals[:, None] * phases, w)
     return OperatorMatrix(w, entries)
-
-
-def _jump_minus_one(jump: JumpSpec) -> CoeffVec:
-    lo = min(jump.g.j_min, 0)
-    c = jump.g.padded(lo, max(jump.g.j_max, 0))
-    c[-lo] -= 1.0
-    return CoeffVec(lo, c)
 
 
 def _multiplication(coeffs: tuple, w: BandWindow, mode: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -408,11 +441,21 @@ def ode_matvec(spec: DiffOpSpec, w: BandWindow, mode: str = "finite_section") ->
 
 def sie_matvec(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free x -> A x for the matrix A that assemble_sie builds: x - compress((g-1) C- x)."""
-    return _sie_product(_jump_minus_one(jump), w, mode)
+    return _sie_product(jump._perturbations[0], w, mode)
+
+
+def sie_regulator(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
+    """Right regulator of the compressed SIE on w, as the product y -> R y.
+
+    R = C+ - M(1/g) C- = Id - M(1/g - 1) C-, compressed as A is: the SIE
+    product with 1/g in place of g.  For a zero-free g of winding zero,
+    A R is the identity plus a compact operator.
+    """
+    return _sie_product(jump._perturbations[1], w, mode)
 
 
 def _sie_product(h: CoeffVec, w: BandWindow, mode: str) -> Callable[[np.ndarray], np.ndarray]:
-    """sie_matvec for h = g - 1 already formed, so that a caller needing h builds it once."""
+    """x -> x - compress(h C- x): sie_matvec for h = g - 1, sie_regulator for h = 1/g - 1."""
     neg = (w.modes() < 0)[None, :]
     mult = _multiplication((h,), w, mode)
     return lambda x: x + mult(neg * x)

@@ -3,9 +3,10 @@
 A sectionally analytic phi with phi(inf) = 1 and boundary jump
 phi+ = phi- g is sought as phi = 1 + Cauchy transform of a density u.  The
 density solves C+ u - (C- u) g = g - 1, which is compressed to a window,
-applied matrix-free and solved by GMRES unregulated (the operator is the
-identity plus a compact one only as g -> 1).  phi is reconstructed off the
-circle from truncated Laurent sums of u.  Each sum reads one contiguous
+applied matrix-free and solved by GMRES, right-regulated by
+C+ - M(1/g) C- (operators.sie_regulator) so that, as in the ODE solve, the
+operator becomes the identity plus a compact one.  phi is reconstructed
+off the circle from truncated Laurent sums of u.  Each sum reads one contiguous
 slice of u's coefficients, forward for the modes j >= 0 and reversed for
 j <= -1, and sums it as a power series in z or 1/z whose powers are
 cumulative products; a window that does not reach mode 0 (or -1) keeps
@@ -20,7 +21,7 @@ import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
 from .linsolve import SolveError, solve_checked
-from .operators import JumpSpec, _jump_minus_one, _modulus_and_winding, _sie_product, check_mode
+from .operators import JumpSpec, _modulus_and_winding, _sie_product, check_mode, sie_regulator
 # not called here: bench/spans.py times the dense assembler where this module looks it up
 from .operators import assemble_sie  # noqa: F401
 
@@ -42,7 +43,9 @@ def solve_rhp(jump: JumpSpec, w: BandWindow, mode: str = "finite_section",
     The right-hand side is g - 1, truncated to the window (finite_section)
     or interpolated from grid samples (collocation).  A jump with nonzero
     winding gives an operator of nonzero Fredholm index, which has no
-    unique solution; it is rejected before solving.
+    unique solution; it is rejected before solving.  The solve is
+    right-regulated by operators.sie_regulator, and cond_cap bounds the
+    regulated operator's condition estimate (see solve_checked).
     """
     check_mode(mode)
     if jump.min_modulus <= 0.0:
@@ -53,12 +56,12 @@ def solve_rhp(jump: JumpSpec, w: BandWindow, mode: str = "finite_section",
             f"{context}: condition estimate inf (jump winding number {jump.winding}, "
             "nonzero Fredholm index)"
         )
-    h = _jump_minus_one(jump)
+    h = jump._perturbations[0]
     if mode == "finite_section":
         rhs = project(h, w).coeffs
     else:
         rhs = interpolate(evaluate_on_grid(h, w.N)).coeffs
-    x = solve_checked(_sie_product(h, w, mode), rhs, cond_cap=cond_cap, context=context)
+    x = solve_checked(_sie_product(h, w, mode), rhs, sie_regulator(jump, w, mode), cond_cap=cond_cap, context=context)
     return RHSolution(u=CoeffVec(-w.n_minus, x), window=w)
 
 

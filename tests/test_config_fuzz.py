@@ -16,7 +16,7 @@ json_values = st.recursive(
     max_leaves=10,
 )
 # plausible values for each field, so that most draws get past the earlier checks
-fields = {name: numbers | json_values for name in ("alpha", "epsilon", "s", "t", "lambda_cap", "g_scale")}
+fields = {name: numbers | json_values for name in ("alpha", "epsilon", "s", "lambda_cap", "g_scale")}
 fields.update(
     N_list=st.lists(numbers, max_size=5) | json_values,
     N_ref=numbers | json_values,

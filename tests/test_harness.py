@@ -57,7 +57,7 @@ class TestFitSlope:
 class TestExperimentConfig:
     def test_defaults_fill_in(self):
         cfg = ExperimentConfig.from_dict({"experiment": "ode3"})
-        assert cfg.alpha == 1.51 and cfg.t == 1.0 and cfg.s == 0.0
+        assert cfg.alpha == 1.51 and cfg.s == 0.0
         assert cfg.N_ref == 2001 and cfg.N_list[0] == 40 and cfg.N_list[-1] == 400
         assert cfg.mode == "finite_section"
 
@@ -68,6 +68,9 @@ class TestExperimentConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown configuration keys"):
             ExperimentConfig.from_dict({"experiment": "ode3", "alhpa": 2.0})
+        # t was a field that nothing read; a config that still sets it is rejected
+        with pytest.raises(ConfigError, match=r"unknown configuration keys: \['t'\]"):
+            ExperimentConfig.from_dict({"experiment": "rhp", "t": 1.0})
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError):

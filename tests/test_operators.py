@@ -22,10 +22,12 @@ from circspec import (
     operator_norm_weighted,
     project,
     sie_matvec,
+    sie_regulator,
     synth_powerlaw,
     winding_number,
 )
-from circspec.operators import OperatorMatrix
+from circspec.operators import OperatorMatrix, _symbol_reach
+from circspec.problems import rhp_jump
 
 from oracles import apply_diff_op, dft_matrices, grid_multiply, random_coeffvec
 
@@ -126,6 +128,18 @@ class TestChooseZeta:
         # symbols -m^3: 1, -1 rejected (distance 0 at m = -1, 1), i clears
         zeta = choose_zeta(DiffOpSpec.from_orders({3: -1.0j}))
         assert zeta == 1j
+
+
+class TestSymbolReach:
+    def test_scan_stops_at_the_root_bound(self, monkeypatch):
+        # |m^2 - 1e6| <= 2.05 only at |m| = 1000; the bound m^2 - 1e6 = 2.05 puts the
+        # scan end at 1000.001, so about 2 * 10^3 symbol values are evaluated
+        evaluated = []
+        symbol = DiffOpSpec.symbol
+        monkeypatch.setattr(DiffOpSpec, "symbol", lambda self, m: evaluated.append(np.size(m)) or symbol(self, m))
+        spec = DiffOpSpec.from_orders({2: -1.0, 0: -1e6})
+        assert _symbol_reach(spec, 2.05, (1 << 22) + 1) == 1000
+        assert 2000 <= sum(evaluated) <= 2100
 
 
 class TestRegulator:
@@ -510,6 +524,23 @@ class TestMatrixFree:
         got = sie_matvec(jump, w, mode)(x)
         assert np.linalg.norm(got - a @ x) <= 1e-13 * np.linalg.norm(np.abs(a) @ np.abs(x))
 
+    @pytest.mark.parametrize("n", [9, 41, 129])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_sie_regulator_matches_dense(self, n, mode):
+        # R = Id - M(1/g - 1) C- is the SIE compression of the jump 1/g, whose
+        # coefficients interpolate 1/g on the grid that certified g
+        jump = rhp_jump(1.51, 1.6, 401)
+        inv_minus_one = jump._perturbations[1]
+        grid = inv_minus_one.coeffs.size
+        on_grid = (1.0 + evaluate_on_grid(inv_minus_one, grid)) * evaluate_on_grid(jump.g, grid)
+        assert np.abs(on_grid - 1.0).max() <= 1e-13
+        inverse = CoeffVec(inv_minus_one.j_min, inv_minus_one.coeffs + (inv_minus_one.modes() == 0))
+        w = BandWindow(n)
+        dense = assemble_sie(JumpSpec(inverse, min_modulus=1.0, winding=0), w, mode).entries
+        regulate = sie_regulator(jump, w, mode)
+        columns = np.column_stack([regulate(e) for e in np.eye(n, dtype=complex)])
+        assert np.linalg.norm(columns - dense) <= 1e-14 * np.linalg.norm(dense)
+
     def test_constant_operator_is_diagonal(self):
         spec = DiffOpSpec.from_orders({2: -1.0, 0: 1.0})
         w = BandWindow(9)
@@ -524,6 +555,8 @@ class TestMatrixFree:
             ode_matvec(spec, BandWindow(8), "nodal")
         with pytest.raises(ValueError, match="mode"):
             sie_matvec(jump, BandWindow(8), "nodal")
+        with pytest.raises(ValueError, match="mode"):
+            sie_regulator(jump, BandWindow(8), "nodal")
 
 
 class TestJumpWinding:

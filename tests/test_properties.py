@@ -1,6 +1,7 @@
 """Hypothesis properties: the flip-split eigensolve, the projection identities at random N,
 slice windowing against index-array reads, the Toeplitz entries against their definition,
-the regulator shift against the symbol values it must avoid, the jump check's winding
+the regulator shift against the symbol values it must avoid, the symbol scan bound
+against a brute-force scan, the jump check's winding
 and minimum modulus against Rouche's theorem, and solve_ode and solve_rhp against dense
 LU over random operators of the paper's class."""
 
@@ -31,7 +32,7 @@ from circspec import (  # noqa: E402
     solve_ode,
     solve_rhp,
 )
-from circspec.operators import _toeplitz_entries  # noqa: E402
+from circspec.operators import _symbol_reach, _toeplitz_entries  # noqa: E402
 from circspec.problems import rhp_jump  # noqa: E402
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -172,6 +173,18 @@ def test_zeta_clears_every_symbol_value(const):
     spec = DiffOpSpec.from_orders(const)
     zeta = choose_zeta(spec)
     assert np.abs(spec.symbol(np.arange(-10 ** 4, 10 ** 4 + 1)) - zeta).min() > 0.5
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(const=constant_parts(), r=st.floats(0.0, 1e4))
+@hypothesis.example(const={2: -1.0, 0: -1e6}, r=2.05)
+def test_symbol_reach_matches_brute_force_scan(const, r):
+    # every |m| up to the cap, scanned directly; -d^2 - 1e6 dips to 0 at m = +-1000
+    spec = DiffOpSpec.from_orders(const)
+    cap = 4096
+    m = np.arange(cap + 1)
+    near = np.flatnonzero(np.minimum(np.abs(spec.symbol(m)), np.abs(spec.symbol(-m))) <= r)
+    assert _symbol_reach(spec, r, cap) == (int(near[-1]) if near.size else -1)
 
 
 @st.composite

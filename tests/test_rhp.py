@@ -19,6 +19,7 @@ from circspec import (
     solve_rhp,
     winding_number,
 )
+import circspec.operators
 import circspec.rhp
 from circspec.problems import rhp_jump
 
@@ -188,19 +189,30 @@ class TestRateBehavior:
         assert slope <= (0.25 - 1.0) + 0.3
 
 
+def check_against_dense_lu(jump: JumpSpec, n: int, mode: str) -> None:
+    w = BandWindow(n)
+    c = np.array(jump.g.coeffs)
+    c[-jump.g.j_min] -= 1.0  # g - 1
+    h = CoeffVec(jump.g.j_min, c)
+    f = project(h, w).coeffs if mode == "finite_section" else interpolate(evaluate_on_grid(h, n)).coeffs
+    dense = np.linalg.solve(assemble_sie(jump, w, mode).entries, f)
+    u = solve_rhp(jump, w, mode=mode).u.coeffs
+    assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
 class TestMatrixFreeSolve:
     @pytest.mark.parametrize("n", [8, 32, 129, 400])
     @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
     def test_agrees_with_dense_lu(self, n, mode):
-        jump = rhp_jump(1.51, 0.01, 400)
-        w = BandWindow(n)
-        c = np.array(jump.g.coeffs)
-        c[-jump.g.j_min] -= 1.0  # g - 1
-        h = CoeffVec(jump.g.j_min, c)
-        f = project(h, w).coeffs if mode == "finite_section" else interpolate(evaluate_on_grid(h, n)).coeffs
-        dense = np.linalg.solve(assemble_sie(jump, w, mode).entries, f)
-        u = solve_rhp(jump, w, mode=mode).u.coeffs
-        assert np.linalg.norm(u - dense) <= 1e-12 * np.linalg.norm(dense)
+        check_against_dense_lu(rhp_jump(1.51, 0.01, 400), n, mode)
+
+    @pytest.mark.parametrize("n", [8, 32, 129])
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_strong_jump_agrees_with_dense_lu(self, n, mode):
+        # epsilon 1.6 takes min |g| down to about 0.25, where the regulator is far from Id
+        jump = rhp_jump(1.51, 1.6, 400)
+        assert 0.2 < jump.min_modulus < 0.3
+        check_against_dense_lu(jump, n, mode)
 
     @pytest.mark.parametrize("coeffs", [{1: 1.0}, {-1: 1.0, 0: 0.3}, {-2: 1.0}])
     @pytest.mark.parametrize("n", [8, 33, 256])
@@ -210,25 +222,61 @@ class TestMatrixFreeSolve:
         with pytest.raises(SolveError, match="condition estimate inf.*Fredholm index"):
             solve_rhp(jump, BandWindow(n), mode=mode)
 
+    def test_vanishing_jump_rejected_before_dividing(self):
+        # 1 + z is zero at z = -1, a point of every even grid; a directly built
+        # jump skips from_coeffs, so the regulator's grid check must reject it
+        jump = JumpSpec(CoeffVec.from_dict({0: 1.0, 1: 1.0}), min_modulus=1.0, winding=0)
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(ValueError, match="vanishes"):
+            solve_rhp(jump, BandWindow(16))
+
+
+def counting_products(monkeypatch) -> list:
+    """Record each product x -> A x that solve_rhp applies: the Arnoldi steps, plus one
+    for the residual check."""
+    calls = []
+    product = circspec.rhp._sie_product
+
+    def counting(*args):
+        apply = product(*args)
+        return lambda x: calls.append(1) or apply(x)
+
+    monkeypatch.setattr(circspec.rhp, "_sie_product", counting)
+    return calls
+
 
 class TestUniformStability:
     @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
     def test_operator_stays_well_conditioned(self, monkeypatch, mode):
-        # the estimate (1.02 to 1.04) and the Arnoldi steps, every product but the
-        # residual check, stay flat in N
-        calls = []
-        product = circspec.rhp._sie_product
-
-        def counting(*args):
-            apply = product(*args)
-            return lambda x: calls.append(1) or apply(x)
-
-        monkeypatch.setattr(circspec.rhp, "_sie_product", counting)
+        # A R = (C+ - g C-)(C+ - M(1/g) C-) is the identity plus a compact operator:
+        # its estimate (below 1.0002) and the Arnoldi steps stay flat in N
+        calls = counting_products(monkeypatch)
         jump = rhp_jump(1.51, 0.01, 20001)
         for n in (33, 401, 2001, 20001):
             calls.clear()
-            solve_rhp(jump, BandWindow(n), mode=mode, cond_cap=1.05)
-            assert len(calls) - 1 <= 7, n
+            solve_rhp(jump, BandWindow(n), mode=mode, cond_cap=1.001)
+            assert len(calls) - 1 == 3, n
+
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    @pytest.mark.parametrize("eps", [0.01, 0.3, 0.6, 0.9, 1.6])
+    def test_steps_stay_flat_for_strong_jumps(self, monkeypatch, eps, mode):
+        # unregulated, epsilon 1.6 took 31, 57 and 69 steps at N = 65, 400 and 2000
+        calls = counting_products(monkeypatch)
+        jump = rhp_jump(1.51, eps, 20001)
+        for n in (65, 400, 2000, 20000):
+            calls.clear()
+            solve_rhp(jump, BandWindow(n), mode=mode)
+            assert len(calls) - 1 <= 8, (eps, n)
+
+    def test_inverse_built_once_per_jump(self, monkeypatch):
+        # the coefficients of 1/g depend only on the jump
+        built = []
+        interpolate_ = circspec.operators.interpolate
+        monkeypatch.setattr(circspec.operators, "interpolate", lambda v: built.append(1) or interpolate_(v))
+        jump = rhp_jump(1.51, 0.3, 401)
+        for mode in ("finite_section", "collocation"):
+            for n in (33, 128, 401):
+                solve_rhp(jump, BandWindow(n), mode=mode)
+        assert len(built) == 1
 
 
 class TestEvaluatePhiAgainstLoop:
