@@ -12,8 +12,9 @@ knows the ODE regulator's two levels: the exact inverse of the
 finite-section compression on the modes |m| <= LOW_MODES, and the diagonal
 (L0 - zeta)^(-1) on every other mode.  sie_regulator is C+ - M(1/g) C-,
 the SIE product with 1/g in place of g.  The shift and the low block's
-inverse depend only on the operator, and g - 1 and 1/g - 1 only on the
-jump, so each DiffOpSpec and each JumpSpec builds them once.
+inverse depend only on the operator, so each DiffOpSpec builds them once.
+JumpSpec(g) certifies g once: one pass over one grid gives min|g|, the
+winding number, g - 1 and 1/g - 1.
 
 Dense assembly over the modes of a BandWindow is kept for the eigensolver,
 for the regulator's low block and as the reference the matrix-free products
@@ -26,7 +27,7 @@ i - n_minus, the same map on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -147,38 +148,32 @@ class DiffOpSpec:
 
 @dataclass(frozen=True)
 class JumpSpec:
-    """Scalar jump function on the unit circle with a certified lower bound.
+    """Scalar jump function on the unit circle, certified once at construction.
 
-    min_modulus is the minimum of |g| over an evaluation grid and winding is
-    the winding number of g about the origin on the same grid (see
-    _modulus_and_winding).  The grid is refined until its minimum certifies
-    that g has no zero on the circle and that the winding is exact, up to
-    GRID_FACTOR points per coefficient; there the grid minimum is the
-    computable surrogate for nonvanishing.  from_coeffs rejects a g that is
-    not finite or vanishes on a grid.
+    JumpSpec(g) samples g once, on _certified_samples' grid, and derives every
+    other field from those samples: min_modulus = min |g| there, winding from
+    the phase increments, and _perturbations = (g - 1 on g's window widened
+    to hold mode 0, the interpolant of 1/g - 1).  Where the grid certifies
+    that g has no zero, the winding is exact; past GRID_FACTOR points per
+    coefficient the grid minimum is the computable surrogate for
+    nonvanishing.  A g that is not finite or vanishes on the grid raises
+    ValueError before anything divides by it.
     """
 
     g: CoeffVec
-    min_modulus: float
-    winding: int
+    min_modulus: float = field(init=False)
+    winding: int = field(init=False)
+    _perturbations: tuple[CoeffVec, CoeffVec] = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_coeffs(cls, g: CoeffVec) -> "JumpSpec":
-        return cls(g, *_modulus_and_winding(g))
-
-    @cached_property
-    def _perturbations(self) -> tuple[CoeffVec, CoeffVec]:
-        """(g - 1, 1/g - 1), built once.
-
-        g - 1 lives on g's window widened to hold mode 0.  1/g - 1 is the
-        interpolant of its samples on the grid where _modulus_and_winding
-        stops, on which from_coeffs certified that g has no zero; a g that
-        vanishes there raises ValueError first.
-        """
+    def __post_init__(self):
+        vals = _certified_samples(self.g)
+        increments = np.angle(np.roll(vals, -1) / vals)
         lo = min(self.g.j_min, 0)
         h = self.g.padded(lo, max(self.g.j_max, 0))
         h[-lo] -= 1.0
-        return CoeffVec(lo, h), interpolate(1.0 / _certified_samples(self.g) - 1.0)
+        object.__setattr__(self, "min_modulus", float(np.abs(vals).min()))
+        object.__setattr__(self, "winding", int(np.rint(increments.sum() / (2.0 * np.pi))))
+        object.__setattr__(self, "_perturbations", (CoeffVec(lo, h), interpolate(1.0 / vals - 1.0)))
 
 
 def _certified_samples(g: CoeffVec) -> np.ndarray:
@@ -204,17 +199,6 @@ def _certified_samples(g: CoeffVec) -> np.ndarray:
         if n == cap or mm > 2.0 * np.pi * lipschitz / n:
             return vals
         n = min(2 * n, cap)
-
-
-def _modulus_and_winding(g: CoeffVec) -> tuple[float, int]:
-    """Minimum of |g| and winding of g about the origin on _certified_samples' grid.
-
-    Where that grid certifies that g has no zero, every phase increment,
-    hence the winding, is exact.
-    """
-    vals = _certified_samples(g)
-    increments = np.angle(np.roll(vals, -1) / vals)
-    return float(np.abs(vals).min()), int(np.rint(increments.sum() / (2.0 * np.pi)))
 
 
 @dataclass(frozen=True)

@@ -51,4 +51,4 @@ def third_order_operator(alpha: float, n_ref: int, g_scale: float = 1.0) -> Diff
 def rhp_jump(alpha: float, epsilon: float, n_ref: int) -> JumpSpec:
     """Jump function 1 at mode zero, epsilon (1+|j|)^(-alpha) elsewhere."""
     w = coefficient_window(n_ref)
-    return JumpSpec.from_coeffs(synth_powerlaw("gg", alpha, w, epsilon=epsilon))
+    return JumpSpec(synth_powerlaw("gg", alpha, w, epsilon=epsilon))

@@ -5,7 +5,10 @@ phi+ = phi- g is sought as phi = 1 + Cauchy transform of a density u.  The
 density solves C+ u - (C- u) g = g - 1, which is compressed to a window,
 applied matrix-free and solved by GMRES, right-regulated by
 C+ - M(1/g) C- (operators.sie_regulator) so that, as in the ODE solve, the
-operator becomes the identity plus a compact one.  phi is reconstructed
+operator becomes the identity plus a compact one.  The jump arrives
+certified: JumpSpec(g) has checked once that g has no zero on the circle
+and recorded its winding number, which winding_number returns and
+solve_rhp requires to be 0, the index-0 case the regulator covers.  phi is reconstructed
 off the circle from truncated Laurent sums of u.  Each sum reads one contiguous
 slice of u's coefficients, forward for the modes j >= 0 and reversed for
 j <= -1, and sums it as a power series in z or 1/z whose powers are
@@ -21,7 +24,7 @@ import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
 from .linsolve import SolveError, solve_checked
-from .operators import JumpSpec, _modulus_and_winding, _sie_product, check_mode, sie_regulator
+from .operators import JumpSpec, check_mode, sie_matvec, sie_regulator
 # not called here: bench/spans.py times the dense assembler where this module looks it up
 from .operators import assemble_sie  # noqa: F401
 
@@ -48,8 +51,6 @@ def solve_rhp(jump: JumpSpec, w: BandWindow, mode: str = "finite_section",
     regulated operator's condition estimate (see solve_checked).
     """
     check_mode(mode)
-    if jump.min_modulus <= 0.0:
-        raise ValueError("jump function must be bounded away from zero")
     context = f"{mode} SIE solve at N={w.N}"
     if jump.winding != 0:
         raise SolveError(
@@ -61,7 +62,7 @@ def solve_rhp(jump: JumpSpec, w: BandWindow, mode: str = "finite_section",
         rhs = project(h, w).coeffs
     else:
         rhs = interpolate(evaluate_on_grid(h, w.N)).coeffs
-    x = solve_checked(_sie_product(h, w, mode), rhs, sie_regulator(jump, w, mode), cond_cap=cond_cap, context=context)
+    x = solve_checked(sie_matvec(jump, w, mode), rhs, sie_regulator(jump, w, mode), cond_cap=cond_cap, context=context)
     return RHSolution(u=CoeffVec(-w.n_minus, x), window=w)
 
 
@@ -129,11 +130,9 @@ def jump_residual(sol: RHSolution, jump: JumpSpec, m: int) -> float:
 
 
 def winding_number(jump: JumpSpec) -> int:
-    """Winding of g around the origin, from phase increments on a fine grid.
+    """Winding of g around the origin, as JumpSpec recorded it when it certified g.
 
     Nonzero winding rules out solutions with phi(inf) = 1 of the assumed
-    form.  JumpSpec.from_coeffs records the same number on the same
-    grid, through the same grid check, and solve_rhp rejects a jump whose
-    recorded winding is nonzero.
+    form; solve_rhp rejects such a jump.
     """
-    return _modulus_and_winding(jump.g)[1]
+    return jump.winding

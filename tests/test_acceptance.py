@@ -4,21 +4,26 @@ Criteria 1-2 run the full convergence pipelines at their published
 parameters; criterion 3 runs both spectrum studies with the 1e-12
 double-precision floor exclusion; 4-8 check the rescaled-error profile,
 the property suites, the composition identity, inverse stability, and
-multiplicity preservation.  Run with -s to see the per-criterion lines.
+multiplicity preservation; 9 checks that finite-section solutions of the
+shipped ODE and RHP problems are quasi-optimal.  Run with -s to see the
+per-criterion lines.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import circspec as cs
 from circspec.harness import ERROR_FLOOR
-from circspec.problems import second_order_operator
+from circspec.problems import rhp_jump, second_order_operator, third_order_ode
 
 from oracles import grid_multiply, random_coeffvec
 from test_operators import invert_coeffs
 from test_rhp import one_sided_jump, wiener_hopf_density
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def check(criterion: str, ok: bool, detail: str):
@@ -197,8 +202,8 @@ def test_criterion_6_regulator_composition():
     w = cs.BandWindow(n)
     g = cs.CoeffVec(0, np.array([1.0, 0.4, 0.25, 0.1], complex))
     ginv = invert_coeffs(g, n - 1)
-    s_g = cs.assemble_sie(cs.JumpSpec.from_coeffs(g), w).entries
-    s_gi = cs.assemble_sie(cs.JumpSpec.from_coeffs(ginv), w).entries
+    s_g = cs.assemble_sie(cs.JumpSpec(g), w).entries
+    s_gi = cs.assemble_sie(cs.JumpSpec(ginv), w).entries
     one = cs.CoeffVec.from_dict({0: 1.0})
     ginv_m1 = cs.CoeffVec(ginv.j_min, ginv.coeffs - np.asarray(one.get(ginv.modes())))
     h = cs.assemble_mult_toeplitz(ginv_m1, w).entries @ cs.assemble_hankel(g, w).entries
@@ -231,3 +236,23 @@ def test_criterion_8_multiplicity_preservation():
         ok = ok and list(counts) == [1] + [2] * 14
         details.append(f"N={n} preserved")
     check("criterion 8 (multiplicity preservation)", ok, "; ".join(details))
+
+
+@pytest.mark.parametrize("name", ["ode3", "rhp"])
+def test_criterion_9_finite_section_quasi_optimality(name):
+    # finite section is quasi-optimal, ||u - u_N||_s <= C ||(I - P_N) u||_s uniformly in N,
+    # with u the shipped reference solution and C within 1% of the best possible, 1
+    cfg = cs.ExperimentConfig.from_json_file(ROOT / "configs" / f"{name}.json")
+    assert cfg.mode == "finite_section"
+    ode = name == "ode3"
+    problem = third_order_ode(cfg.alpha, cfg.N_ref, cfg.g_scale) if ode else rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref)
+
+    def solve(n):
+        w = cs.BandWindow(n)
+        return cs.solve_ode(*problem, w) if ode else cs.solve_rhp(problem, w).u
+
+    ref = solve(cfg.N_ref)
+    ratios = {n: cs.diff_norm(ref, solve(n), cfg.s) / cs.diff_norm(ref, cs.project(ref, cs.BandWindow(n)), cfg.s)
+              for n in (40, 80, 160, 320, 400)}
+    check(f"criterion 9 ({name} finite-section quasi-optimality)", max(ratios.values()) <= 1.01,
+          ", ".join(f"N={n} {r:.6f}" for n, r in ratios.items()))

@@ -24,7 +24,6 @@ from circspec import (
     sie_matvec,
     sie_regulator,
     synth_powerlaw,
-    winding_number,
 )
 from circspec.operators import OperatorMatrix, _symbol_reach
 from circspec.problems import rhp_jump
@@ -257,7 +256,7 @@ class TestCollocationOde:
 
 class TestSie:
     def test_unit_jump_gives_identity(self):
-        jump = JumpSpec.from_coeffs(CoeffVec.from_dict({0: 1.0}))
+        jump = JumpSpec(CoeffVec.from_dict({0: 1.0}))
         w = BandWindow(10)
         for mode in ("finite_section", "collocation"):
             a = assemble_sie(jump, w, mode)
@@ -266,7 +265,7 @@ class TestSie:
     def test_rational_symbol_column_structure(self):
         # g = 1 + eps/z: the column of mode -1 gains +eps at mode -2
         eps = 0.25
-        jump = JumpSpec.from_coeffs(CoeffVec.from_dict({-1: eps, 0: 1.0}))
+        jump = JumpSpec(CoeffVec.from_dict({-1: eps, 0: 1.0}))
         w = BandWindow(8)
         a = assemble_sie(jump, w, "finite_section").entries
         expected = np.eye(8, dtype=complex)
@@ -282,7 +281,7 @@ class TestSie:
         rng = np.random.default_rng(41)
         g = random_coeffvec(rng, 6, scale=0.05)
         g = CoeffVec(g.j_min, g.coeffs + np.asarray(CoeffVec.from_dict({0: 1.0}).get(g.modes())))
-        jump = JumpSpec.from_coeffs(g)
+        jump = JumpSpec(g)
         w = BandWindow(20)
         gm1 = CoeffVec(g.j_min, g.coeffs - np.asarray(CoeffVec.from_dict({0: 1.0}).get(g.modes())))
         toep = assemble_mult_toeplitz(gm1, w).entries
@@ -301,7 +300,7 @@ class TestSie:
             band = 4
             h = random_coeffvec(rng, band, scale=0.1)
             g = CoeffVec(h.j_min, h.coeffs + np.asarray(CoeffVec.from_dict({0: 1.0}).get(h.modes())))
-            jump = JumpSpec.from_coeffs(g)
+            jump = JumpSpec(g)
             fs = assemble_sie(jump, w, "finite_section").entries
             co = assemble_sie(jump, w, "collocation").entries
             diff = co - fs
@@ -399,30 +398,27 @@ class TestOperatorNormWeighted:
 
 class TestJumpSpec:
     def test_certifies_positive_minimum(self):
-        jump = JumpSpec.from_coeffs(CoeffVec.from_dict({-1: 0.25, 0: 1.0}))
+        jump = JumpSpec(CoeffVec.from_dict({-1: 0.25, 0: 1.0}))
         assert 0.7 < jump.min_modulus <= 0.8
 
     def test_rejects_vanishing_symbol(self):
         with pytest.raises(ValueError, match="vanishes"):
-            JumpSpec.from_coeffs(CoeffVec.from_dict({0: 1.0, 1: 1.0}))
+            JumpSpec(CoeffVec.from_dict({0: 1.0, 1: 1.0}))
 
     def test_uncertified_jump_is_checked_on_the_cap_grid(self):
         # 1.001i - z^40 comes within 0.001 of zero, below 2 pi L / n = 80 pi / n on
         # every doubled grid, so the check ends on GRID_FACTOR * 41 = 656 points;
         # the first grid, 128 points, meets the near-zero and reads 0.001
         g = CoeffVec.from_dict({0: 1.001j, 40: -1.0})
-        jump = JumpSpec.from_coeffs(g)
+        jump = JumpSpec(g)
         assert jump.winding == 0
         assert jump.min_modulus == np.abs(evaluate_on_grid(g, 656)).min() > 0.03
 
     @pytest.mark.parametrize("coeffs", [[np.inf], [1.0, np.nan]], ids=["inf", "nan"])
     def test_rejects_non_finite_values(self, coeffs):
-        # the same grid check runs in from_coeffs and in winding_number
         g = CoeffVec(0, np.array(coeffs))
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
-            JumpSpec.from_coeffs(g)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
-            winding_number(JumpSpec(g, min_modulus=1.0, winding=0))
+            JumpSpec(g)
 
 
 def invert_coeffs(g: CoeffVec, half_width: int, grid: int = 8192) -> CoeffVec:
@@ -445,8 +441,8 @@ class TestRegulatorComposition:
         w = BandWindow(n)
         g = CoeffVec(0, np.array([1.0, 0.4, 0.25, 0.1], complex))
         ginv = invert_coeffs(g, n - 1)
-        s_g = assemble_sie(JumpSpec.from_coeffs(g), w, "finite_section").entries
-        s_gi = assemble_sie(JumpSpec.from_coeffs(ginv), w, "finite_section").entries
+        s_g = assemble_sie(JumpSpec(g), w, "finite_section").entries
+        s_gi = assemble_sie(JumpSpec(ginv), w, "finite_section").entries
         ginv_m1 = CoeffVec(ginv.j_min, ginv.coeffs - np.asarray(CoeffVec.from_dict({0: 1.0}).get(ginv.modes())))
         h = assemble_mult_toeplitz(ginv_m1, w).entries @ assemble_hankel(g, w).entries
         defect = np.linalg.norm(s_gi @ s_g - (np.eye(n) + h), 2)
@@ -517,7 +513,7 @@ class TestMatrixFree:
         rng = np.random.default_rng(89 + n)
         c = 0.2 * (rng.standard_normal(41) + 1j * rng.standard_normal(41))
         c[20] += 1.0
-        jump = JumpSpec.from_coeffs(CoeffVec(-20, c))
+        jump = JumpSpec(CoeffVec(-20, c))
         w = BandWindow(n)
         a = assemble_sie(jump, w, mode).entries
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -536,7 +532,7 @@ class TestMatrixFree:
         assert np.abs(on_grid - 1.0).max() <= 1e-13
         inverse = CoeffVec(inv_minus_one.j_min, inv_minus_one.coeffs + (inv_minus_one.modes() == 0))
         w = BandWindow(n)
-        dense = assemble_sie(JumpSpec(inverse, min_modulus=1.0, winding=0), w, mode).entries
+        dense = assemble_sie(JumpSpec(inverse), w, mode).entries
         regulate = sie_regulator(jump, w, mode)
         columns = np.column_stack([regulate(e) for e in np.eye(n, dtype=complex)])
         assert np.linalg.norm(columns - dense) <= 1e-14 * np.linalg.norm(dense)
@@ -550,7 +546,7 @@ class TestMatrixFree:
 
     def test_unknown_mode_rejected(self):
         spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))
-        jump = JumpSpec.from_coeffs(CoeffVec.from_dict({0: 1.0}))
+        jump = JumpSpec(CoeffVec.from_dict({0: 1.0}))
         with pytest.raises(ValueError, match="mode"):
             ode_matvec(spec, BandWindow(8), "nodal")
         with pytest.raises(ValueError, match="mode"):
@@ -564,5 +560,5 @@ class TestJumpWinding:
         ({0: 1.0, 1: 0.3}, 0), ({1: 1.0}, 1), ({-1: 1.0, 0: 0.2}, -1), ({-2: 1.0}, -2), ({2: 1.0, 0: 0.5}, 2),
     ])
     def test_recorded_at_construction(self, coeffs, expected):
-        jump = JumpSpec.from_coeffs(CoeffVec.from_dict(coeffs))
+        jump = JumpSpec(CoeffVec.from_dict(coeffs))
         assert jump.winding == expected

@@ -214,7 +214,7 @@ def test_jump_winding_and_modulus_follow_rouche(case):
     # |c| - sum |r_j| <= |g| <= |c| + sum |r_j|; the shipped rhp jump is 1 plus
     # terms summing to about 0.03
     g, k, c_abs, r_sum = case
-    jump = JumpSpec.from_coeffs(g)
+    jump = JumpSpec(g)
     assert jump.winding == k
     assert c_abs - r_sum - 1e-12 * c_abs <= jump.min_modulus <= c_abs + r_sum + 1e-12 * c_abs
 
@@ -304,7 +304,7 @@ def rhp_cases(draw):
     g = CoeffVec(h.j_min, h.coeffs + (h.modes() == 0))
     # the solver's right-hand side is g - 1 as rounded, not h
     h = CoeffVec(g.j_min, g.coeffs - (g.modes() == 0))
-    return JumpSpec.from_coeffs(g), h, draw(st.integers(1, 89)), draw(st.sampled_from(["finite_section", "collocation"]))
+    return JumpSpec(g), h, draw(st.integers(1, 89)), draw(st.sampled_from(["finite_section", "collocation"]))
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
