@@ -83,6 +83,12 @@ class CoeffVec:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
+    def __eq__(self, other):
+        # the generated __eq__ would compare the arrays with ==, whose truth value is ambiguous
+        if not isinstance(other, CoeffVec):
+            return NotImplemented
+        return self.j_min == other.j_min and np.array_equal(self.coeffs, other.coeffs)
+
     @classmethod
     def from_dict(cls, entries: dict[int, complex]) -> "CoeffVec":
         if not entries:

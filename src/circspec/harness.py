@@ -48,8 +48,9 @@ EXPERIMENTS = ("ode3", "spectrum2", "spectrum3", "rhp")
 # fits, with the exclusion logged per row
 ERROR_FLOOR = 1e-12
 
-# largest accepted N_ref: solver windows are O(N) in memory, spectrum
-# windows build a dense N_ref x N_ref matrix
+# largest accepted N_ref: a solver window takes O(steps N) memory, with the
+# few GMRES steps the regulated solves take; spectrum windows build a dense
+# N_ref x N_ref matrix
 MAX_SOLVER_N = 2 ** 20
 MAX_SPECTRUM_N = 4096
 

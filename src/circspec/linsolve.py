@@ -5,6 +5,8 @@ passed as the product y -> R y, it runs GMRES (Saad & Schultz 1986) on
 A R y = f, gates the condition estimate of A R and returns x = R y.  For
 the operators solved here A R is the identity plus a compact operator, so
 its condition and the iteration count stay flat as the window grows.
+GMRES keeps k + 1 basis vectors after k steps, so a solve's memory is
+O(steps N): the workspace starts at FIRST_STEPS steps and doubles when full.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import numpy as np
 
 __all__ = ["SolveError", "solve_checked"]
 
-# most Arnoldi steps per solve; the shipped problems need 6 (ode3) and 3 (rhp)
+# cap on Arnoldi steps per solve, not a workspace size: the shipped problems
+# take 6 (ode3) and 3 (rhp), and the workspace grows with the steps taken
 MAX_ITER = 200
+# Arnoldi steps the GMRES workspace holds before it first doubles
+FIRST_STEPS = 16
 # GMRES stops once its residual estimate falls below this fraction of |rhs|
 GMRES_TOL = 1e-14
 # a true residual above this fraction of |rhs| fails the solve
@@ -95,8 +100,9 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: float,
     """
     n = rhs.size
     m = min(n, MAX_ITER)
-    basis = np.empty((m + 1, n), dtype=complex)
-    hess = np.zeros((m + 1, m), dtype=complex)
+    cap = min(m, FIRST_STEPS)
+    basis = np.empty((cap + 1, n), dtype=complex)
+    hess = np.zeros((cap + 1, cap), dtype=complex)
     # Givens rotations that triangularise hess, and the rotated beta e_1; its
     # last entry is the GMRES residual at the current step
     rotations = []
@@ -104,6 +110,11 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: float,
     basis[0] = rhs / beta
     met = False
     for k in range(m):
+        if k == cap:
+            # the workspace is full: double it, keeping the filled part
+            cap = min(2 * cap, m)
+            basis = np.concatenate((basis, np.empty((cap - k, n), dtype=complex)))
+            hess = np.pad(hess, ((0, cap - k), (0, cap - k)))
         w = op(basis[k])
         # classical Gram-Schmidt, run twice to keep the basis orthogonal to working
         # precision; conj(V) w is formed as conj(conj(w) V^T), which conjugates

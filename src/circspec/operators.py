@@ -156,8 +156,9 @@ class JumpSpec:
     to hold mode 0, the interpolant of 1/g - 1).  Where the grid certifies
     that g has no zero, the winding is exact; past GRID_FACTOR points per
     coefficient the grid minimum is the computable surrogate for
-    nonvanishing.  A g that is not finite or vanishes on the grid raises
-    ValueError before anything divides by it.
+    nonvanishing.  A g that is not a CoeffVec raises TypeError; one that is
+    not finite or vanishes on the grid raises ValueError before anything
+    divides by it.
     """
 
     g: CoeffVec
@@ -166,6 +167,8 @@ class JumpSpec:
     _perturbations: tuple[CoeffVec, CoeffVec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.g, CoeffVec):
+            raise TypeError("jump function g must be CoeffVec")
         vals = _certified_samples(self.g)
         increments = np.angle(np.roll(vals, -1) / vals)
         lo = min(self.g.j_min, 0)

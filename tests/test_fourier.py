@@ -46,6 +46,12 @@ class TestCoeffVec:
         with pytest.raises(ValueError):
             CoeffVec(0, np.array([]))
 
+    def test_equality_compares_window_and_coefficients(self):
+        u = CoeffVec.from_dict({-1: 0.5, 0: 1.0, 1: 2j})
+        assert u == CoeffVec(-1, [0.5, 1.0, 2j])
+        assert u != CoeffVec(-1, [0.5, 1.0, 3j])
+        assert u != CoeffVec(0, [0.5, 1.0, 2j])
+
 
 class TestProject:
     def test_truncation(self):

@@ -1,10 +1,14 @@
 """Tests for the regulated GMRES solve behind solve_ode and solve_rhp."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
-from circspec import SolveError
+from circspec import BandWindow, SolveError, solve_ode, solve_rhp
 from circspec.linsolve import MAX_ITER, solve_checked
+from circspec.problems import rhp_jump, third_order_ode
 
 
 class TestSolveChecked:
@@ -16,11 +20,13 @@ class TestSolveChecked:
         x = solve_checked(lambda v: a @ v, f)
         assert np.linalg.norm(x - np.linalg.solve(a, f)) <= 1e-12 * np.linalg.norm(x)
 
-    def test_regulator_ratio_scales_condition(self):
-        # with R = diag(d)^(-1/2), GMRES sees A R = diag(d)^(1/2) on all 16 modes,
-        # and the estimate is its condition number sqrt(40 / 1) = 6.325
-        d = np.linspace(1.0, 40.0, 16) + 0j
-        f = np.ones(16, dtype=complex)
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_regulator_ratio_scales_condition(self, n):
+        # with R = diag(d)^(-1/2), GMRES sees A R = diag(d)^(1/2) on all n modes,
+        # and the estimate is its condition number sqrt(40 / 1) = 6.325; the
+        # 40-mode solve takes 27 steps, so it grows the GMRES workspace
+        d = np.linspace(1.0, 40.0, n) + 0j
+        f = np.ones(n, dtype=complex)
         x = solve_checked(lambda v: d * v, f, lambda v: v / np.sqrt(d), cond_cap=6.4)
         assert np.allclose(x, f / d, rtol=1e-14)
         with pytest.raises(SolveError, match="condition estimate 6.325"):
@@ -61,3 +67,24 @@ class TestSolveChecked:
         scale = np.array([1.0, np.nan, 1.0, 1.0]) if bad == "operator" else np.ones(4)
         with pytest.raises(SolveError, match="not finite"):
             solve_checked(lambda v: scale * v, f)
+
+
+@pytest.mark.parametrize("solver", ["ode3", "rhp"])
+def test_solve_memory_is_o_steps_n(solver):
+    # the shipped problems take at most 7 Arnoldi steps, so one solve's peak
+    # stays below 64 vectors of N complex entries; a basis sized to
+    # min(N, MAX_ITER) + 1 vectors alone is 201 of them
+    n = 2 ** 14 + 1
+    w = BandWindow(n)
+    if solver == "ode3":
+        solve = partial(solve_ode, *third_order_ode(1.51, n), w)
+    else:
+        solve = partial(solve_rhp, rhp_jump(1.51, 0.01, n), w)
+    solve()  # the first solve builds what is kept per operator, such as the ODE low block
+    tracemalloc.start()
+    try:
+        solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n * 16

@@ -420,6 +420,14 @@ class TestJumpSpec:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
             JumpSpec(g)
 
+    def test_rejects_non_coeffvec(self):
+        with pytest.raises(TypeError, match="CoeffVec"):
+            JumpSpec([1.0, 0.1])
+
+    def test_equal_jumps_compare_equal(self):
+        assert JumpSpec(CoeffVec.from_dict({-1: 0.25, 0: 1.0})) == JumpSpec(CoeffVec(-1, [0.25, 1.0]))
+        assert JumpSpec(CoeffVec.from_dict({-1: 0.25, 0: 1.0})) != JumpSpec(CoeffVec(-1, [0.5, 1.0]))
+
 
 def invert_coeffs(g: CoeffVec, half_width: int, grid: int = 8192) -> CoeffVec:
     """Coefficients of 1/g on -half_width..half_width via a fine product grid."""
