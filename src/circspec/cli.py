@@ -9,6 +9,7 @@ be written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import ConfigError, ExperimentConfig, emit_csv, run_experiment
@@ -27,12 +28,11 @@ def _run(argv, allowed: tuple | None, prog: str) -> int:
             raise ConfigError(
                 f"{prog} runs {', '.join(allowed)} configurations, got {cfg.experiment!r}"
             )
+        if args.output is not None:
+            cfg = dataclasses.replace(cfg, output_path=args.output)
     except (ConfigError, OSError) as exc:
         print(f"{prog}: configuration error: {exc}", file=sys.stderr)
         return 2
-
-    if args.output is not None:
-        cfg.output_path = args.output
 
     try:
         report = run_experiment(cfg)

@@ -57,9 +57,6 @@ class BandWindow:
     def modes(self) -> np.ndarray:
         return np.arange(-self.n_minus, self.n_plus + 1)
 
-    def contains(self, j: int) -> bool:
-        return -self.n_minus <= j <= self.n_plus
-
     def grid(self) -> np.ndarray:
         """Uniform grid x_l = 2*pi*l/N, l = 0..N-1."""
         return 2.0 * np.pi * np.arange(self.N) / self.N

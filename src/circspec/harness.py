@@ -3,10 +3,11 @@
 Four experiments are wired up: the third-order periodic equation, the two
 self-adjoint spectrum studies, and the circle Riemann-Hilbert problem.
 All four run through one sweep, _sweep, which builds the problem and solves
-it at N_ref, then at each N in N_list.  Each experiment then measures errors
-(a weighted coefficient norm against the reference for the solvers, the
-largest matched eigenvalue distance under a modulus cap for the spectra)
-and fits a log-log slope.  Runs are deterministic: the same configuration
+it at N_ref, then at each N in N_list, measuring each solution against the
+reference in the same floating-point guard as the solve (a weighted
+coefficient norm for the solvers, matched eigenvalue distances for the
+spectra, reported as the largest under a modulus cap).  Each experiment
+then fits a log-log slope.  Runs are deterministic: the same configuration
 at the same BLAS thread count yields byte-identical CSV output.
 """
 
@@ -16,7 +17,7 @@ import json
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,23 +55,17 @@ ERROR_FLOOR = 1e-12
 MAX_SOLVER_N = 2 ** 20
 MAX_SPECTRUM_N = 4096
 
+# the one configuration schema: each experiment's entry lists exactly the keys it
+# reads, with their defaults; from_dict rejects any other key
 _DEFAULTS: dict[str, dict] = {
-    "ode3": dict(alpha=1.51, epsilon=0.0, s=0.0,
-                 N_list=list(range(40, 401, 20)), N_ref=2001,
-                 mode="finite_section", output_path="ode3.csv",
-                 lambda_cap=50.0, g_scale=1.0),
-    "rhp": dict(alpha=1.51, epsilon=0.01, s=0.25,
-                N_list=list(range(40, 401, 20)), N_ref=2000,
-                mode="finite_section", output_path="rhp.csv",
-                lambda_cap=50.0, g_scale=1.0),
-    "spectrum2": dict(alpha=2.51, epsilon=0.0, s=0.0,
-                      N_list=[41, 81, 161, 321], N_ref=501,
-                      mode="finite_section", output_path="spectrum2.csv",
-                      lambda_cap=50.0, g_scale=1.0),
-    "spectrum3": dict(alpha=2.51, epsilon=0.0, s=0.0,
-                      N_list=[41, 81, 161, 321], N_ref=501,
-                      mode="finite_section", output_path="spectrum3.csv",
-                      lambda_cap=50.0, g_scale=1.0),
+    "ode3": dict(alpha=1.51, s=0.0, N_list=list(range(40, 401, 20)), N_ref=2001,
+                 mode="finite_section", output_path="ode3.csv", g_scale=1.0),
+    "rhp": dict(alpha=1.51, epsilon=0.01, s=0.25, N_list=list(range(40, 401, 20)), N_ref=2000,
+                mode="finite_section", output_path="rhp.csv"),
+    "spectrum2": dict(alpha=2.51, N_list=[41, 81, 161, 321], N_ref=501,
+                      mode="finite_section", output_path="spectrum2.csv", lambda_cap=50.0, g_scale=1.0),
+    "spectrum3": dict(alpha=2.51, N_list=[41, 81, 161, 321], N_ref=501,
+                      mode="finite_section", output_path="spectrum3.csv", lambda_cap=50.0, g_scale=1.0),
 }
 
 
@@ -106,17 +101,18 @@ def _as_float(value, name: str) -> float:
 class ExperimentConfig:
     experiment: str
     alpha: float
-    epsilon: float
-    s: float
     N_list: list[int]
     N_ref: int
-    mode: str
     output_path: str
+    # the experiments that do not read a field keep its neutral default
+    mode: str = "finite_section"
+    epsilon: float = 0.0
+    s: float = 0.0
     lambda_cap: float = 50.0
     g_scale: float = 1.0
 
     def __post_init__(self):
-        """Validate every field; the single check on configuration input."""
+        """Validate every field's value; from_dict has already checked which keys are allowed."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
         try:
@@ -127,6 +123,8 @@ class ExperimentConfig:
             raise ConfigError("spectrum experiments support only the finite_section mode")
         if not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        if "\0" in self.output_path:
+            raise ConfigError(f"output_path must not contain a NUL byte, got {self.output_path!r}")
         for name in ("alpha", "epsilon", "s", "lambda_cap", "g_scale"):
             setattr(self, name, _as_float(getattr(self, name), name))
         if not isinstance(self.N_list, (list, tuple)):
@@ -156,14 +154,14 @@ class ExperimentConfig:
         experiment = raw["experiment"]
         if experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        reads = _DEFAULTS[experiment]
+        unknown = set(raw) - {"experiment", *reads}
         if unknown:
-            raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-        merged = dict(_DEFAULTS[experiment])
-        merged.update({k: v for k, v in raw.items() if k != "experiment"})
+            raise ConfigError(f"unknown configuration keys: {sorted(unknown, key=str)}; "
+                              f"{experiment} reads {', '.join(reads)}")
+        merged = {**reads, **raw}
         try:
-            return cls(experiment=experiment, **merged)
+            return cls(**merged)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -216,11 +214,10 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     """Run one configured convergence experiment; deterministic given cfg."""
     if cfg.experiment.startswith("spectrum"):
         build = problems.second_order_operator if cfg.experiment == "spectrum2" else problems.third_order_operator
-        ref, reports = _sweep(lambda: build(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale),
-                              lambda spec, n: eigenvalues_self_adjoint(spec, BandWindow(n)), cfg)
+        matches = _sweep(lambda: build(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale),
+                         lambda spec, n: eigenvalues_self_adjoint(spec, BandWindow(n)), eigen_distances, cfg)
         rows, eigen_rows = [], []
-        for n, report in zip(cfg.N_list, reports):
-            matched = eigen_distances(report, ref)
+        for n, matched in zip(cfg.N_list, matches):
             for lam, d, r in zip(matched.lam, matched.dist, matched.rescaled):
                 eigen_rows.append((n, float(lam), float(d), float(r)))
             capped = matched.dist[np.abs(matched.lam) <= cfg.lambda_cap]
@@ -228,14 +225,17 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
         notes = ["eigenvalue distances floor near 1e-12 in double precision; "
                  "floored rows are excluded from the slope fit"]
     else:
+        def error(u, ref):
+            return diff_norm(ref, u, cfg.s)
+
         if cfg.experiment == "ode3":
-            ref, sols = _sweep(lambda: problems.third_order_ode(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale),
-                               lambda p, n: solve_ode(*p, BandWindow(n), mode=cfg.mode), cfg)
+            errors = _sweep(lambda: problems.third_order_ode(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale),
+                            lambda p, n: solve_ode(*p, BandWindow(n), mode=cfg.mode), error, cfg)
         else:
             # solve_rhp rejects a jump of nonzero winding, naming the winding number
-            ref, sols = _sweep(lambda: problems.rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref),
-                               lambda jump, n: solve_rhp(jump, BandWindow(n), mode=cfg.mode).u, cfg)
-        rows = [(n, diff_norm(ref, u, cfg.s)) for n, u in zip(cfg.N_list, sols)]
+            errors = _sweep(lambda: problems.rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref),
+                            lambda jump, n: solve_rhp(jump, BandWindow(n), mode=cfg.mode).u, error, cfg)
+        rows = list(zip(cfg.N_list, errors))
         eigen_rows, notes = None, []
 
     slope, used, excluded = _fit_detail(rows, ERROR_FLOOR)
@@ -247,11 +247,12 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
                              excluded=excluded, eigen_rows=eigen_rows, notes=notes)
 
 
-def _sweep(build, solve_at_N, cfg: ExperimentConfig) -> tuple:
-    """Build the problem and solve it at N_ref, then at each N in N_list; return the
-    reference and the per-N results.  Each step raises floating-point overflow, division
-    by zero and invalid operations (not underflow); a SolveError, ValueError or
-    FloatingPointError from a step is re-raised as a SolveError naming the step and N."""
+def _sweep(build, solve_at_N, measure, cfg: ExperimentConfig) -> list:
+    """Build the problem and solve it at N_ref, then solve it at each N in N_list and
+    return measure(result, reference) per N.  Each step, the measurement included, raises
+    floating-point overflow, division by zero and invalid operations (not underflow); a
+    SolveError, ValueError or FloatingPointError from a step is re-raised as a SolveError
+    naming the step and N."""
     def step(what: str, n: int, fn, *args):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -261,7 +262,7 @@ def _sweep(build, solve_at_N, cfg: ExperimentConfig) -> tuple:
 
     problem = step(f"{cfg.experiment} reference", cfg.N_ref, build)
     ref = step(f"{cfg.experiment} reference", cfg.N_ref, solve_at_N, problem, cfg.N_ref)
-    return ref, [step(cfg.experiment, n, solve_at_N, problem, n) for n in cfg.N_list]
+    return [step(cfg.experiment, n, lambda: measure(solve_at_N(problem, n), ref)) for n in cfg.N_list]
 
 
 def _fmt(x: float) -> str:

@@ -62,8 +62,8 @@ GRID_FACTOR = 16
 ZETA_CANDIDATES = tuple(complex(z) for r in range(1, 17) for z in (r, -r, 1j * r, -1j * r))
 # the two-level ODE regulator inverts the compression exactly on the modes |m| <= LOW_MODES
 LOW_MODES = 8
-# the low block is used only when its smallest singular value is at least this, the
-# margin choose_zeta keeps between the shift and every symbol value
+# the margin choose_zeta keeps between the shift and every symbol value; the low block
+# is used only when its smallest singular value is at least this
 LOW_BLOCK_MARGIN = 0.5
 
 
@@ -250,18 +250,18 @@ def assemble_cauchy_projectors(w: BandWindow) -> tuple[OperatorMatrix, OperatorM
 
 
 def choose_zeta(spec: DiffOpSpec) -> complex:
-    """Pick a spectral shift zeta further than 1/2 from every constant-part symbol value.
+    """Pick a spectral shift zeta further than LOW_BLOCK_MARGIN from every constant-part symbol value.
 
     The first of ZETA_CANDIDATES to clear them wins.  Only a symbol value of
-    modulus <= max|candidate| + 1/2 can come near a candidate, so the modes
+    modulus <= max|candidate| + LOW_BLOCK_MARGIN can come near a candidate, so the modes
     |m| <= _symbol_reach of that radius (capped at 2^20) are checked; a
     constant symbol (k = 0) has its one value at m = 0.
     """
-    radius = max(abs(z) for z in ZETA_CANDIDATES) + 0.5
+    radius = max(abs(z) for z in ZETA_CANDIDATES) + LOW_BLOCK_MARGIN
     reach = max(_symbol_reach(spec, radius, 2 ** 20), 0) if spec.k else 0
     symbols = spec.symbol(np.arange(-reach, reach + 1))
     for cand in ZETA_CANDIDATES:
-        if np.min(np.abs(symbols - cand)) > 0.5:
+        if np.min(np.abs(symbols - cand)) > LOW_BLOCK_MARGIN:
             return cand
     raise ValueError(f"no shift among the {len(ZETA_CANDIDATES)} candidates clears the symbol set")
 

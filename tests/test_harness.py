@@ -72,6 +72,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=r"unknown configuration keys: \['t'\]"):
             ExperimentConfig.from_dict({"experiment": "rhp", "t": 1.0})
 
+    @pytest.mark.parametrize("raw", [
+        {"experiment": "ode3", "epsilon": 0.5},
+        {"experiment": "rhp", "g_scale": 2.0},
+        {"experiment": "spectrum2", "s": 1.0},
+    ], ids=["ode3-epsilon", "rhp-g_scale", "spectrum2-s"])
+    def test_key_the_experiment_does_not_read_rejected(self, raw):
+        (key,) = set(raw) - {"experiment"}
+        with pytest.raises(ConfigError, match=rf"unknown configuration keys: \['{key}'\]; {raw['experiment']} reads"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_non_string_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown configuration keys: \[1, 'a'\]"):
+            ExperimentConfig.from_dict({"experiment": "ode3", 1: 2, "a": 3})
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"experiment": "heat"})
@@ -220,6 +234,13 @@ class TestRunExperiment:
         with pytest.raises(SolveError, match="reference failed at N=65"):
             run_experiment(cfg)
 
+    def test_overflowing_error_norm_is_a_solve_error(self, tmp_path):
+        # the weights (1+|j|)^400 overflow in the measurement, which runs under the solve's guard
+        from circspec import SolveError
+        cfg = small_ode3(tmp_path, N_list=[16, 24], N_ref=65, s=400)
+        with pytest.raises(SolveError, match="ode3 failed at N=16: overflow encountered in power"):
+            run_experiment(cfg)
+
     def test_reference_insensitivity(self, tmp_path):
         # moving the reference from 2001 to 1501 must not materially change
         # the reported errors anywhere in the sweep range
@@ -284,6 +305,12 @@ class TestCli:
                                         "output_path": str(tmp_path / "o.csv")})
         assert main_solve_ode(["--config", cfg]) == 0
 
+    def test_nul_output_override_exits_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {"experiment": "rhp", "N_list": [16, 24],
+                                        "N_ref": 65, "output_path": str(tmp_path / "x.csv")})
+        assert main_solve_rhp(["--config", cfg, "--output", "o\0.csv"]) == 2
+        assert "NUL" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main_convergence(["--config", str(tmp_path / "nope.json")]) == 2
 
@@ -297,8 +324,12 @@ class TestCli:
         {"N_ref": 2 ** 20 + 1},
         {"experiment": "spectrum2", "N_ref": 4097},
         {"alpha": 10 ** 400},
+        {"experiment": "spectrum2", "lambda_cap": float("nan")},
+        {"experiment": "spectrum2", "lambda_cap": 0},
+        {"output_path": "o\u0000.csv"},
     ], ids=["alpha-nan", "s-string", "N_list-string", "N_ref-inf", "lambda_cap-nan", "unwritable-output",
-            "N_ref-solver-too-large", "N_ref-spectrum-too-large", "alpha-beyond-float"])
+            "N_ref-solver-too-large", "N_ref-spectrum-too-large", "alpha-beyond-float",
+            "spectrum-lambda_cap-nan", "spectrum-lambda_cap-zero", "output-nul"])
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, override):
         monkeypatch.chdir(tmp_path)
         raw = {"experiment": "ode3", "N_list": [16, 24], "N_ref": 65, "output_path": "o.csv", **override}
@@ -331,6 +362,16 @@ class TestCliProcess:
         assert "solver failure" in proc.stderr and "reference failed at N=65" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_overflowing_error_norm_is_a_solver_failure(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "ode3", "N_list": [16, 24], "N_ref": 65, "s": 400}))
+        proc = run_cli(["--config", str(cfg), "--output", str(tmp_path / "o.csv")])
+        assert proc.returncode == 1, proc.stderr
+        assert "solver failure: ode3 failed at N=16: overflow encountered in power" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("name", ["ode3", "rhp", "spectrum2", "spectrum3"])
     def test_shipped_config_runs_without_scipy(self, tmp_path, name):
