@@ -30,25 +30,20 @@ def _run(argv, allowed: tuple | None, prog: str) -> int:
             )
         if args.output is not None:
             cfg = dataclasses.replace(cfg, output_path=args.output)
+        report = run_experiment(cfg)
+        emit_csv(report, cfg.output_path)
     except (ConfigError, OSError) as exc:
         print(f"{prog}: configuration error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        report = run_experiment(cfg)
     except SolveError as exc:
         print(f"{prog}: solver failure: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        emit_csv(report, cfg.output_path)
-    except OSError as exc:
-        print(f"{prog}: configuration error: {exc}", file=sys.stderr)
-        return 2
     for n, e in report.rows:
         print(f"N={n} error={e:.6e}")
     slope = "undefined" if report.fitted_slope is None else f"{report.fitted_slope:.4f}"
     print(f"slope={slope}")
+    for n, e, reason in report.excluded:
+        print(f"excluded: N={n} error={e:.6e} ({reason})")
     for note in report.notes:
         print(f"note: {note}")
     print(f"wrote {cfg.output_path}")
@@ -56,19 +51,19 @@ def _run(argv, allowed: tuple | None, prog: str) -> int:
 
 
 def main_solve_ode(argv=None) -> int:
-    return _run(sys.argv[1:] if argv is None else argv, ("ode3",), "solve-ode")
+    return _run(argv, ("ode3",), "solve-ode")
 
 
 def main_solve_rhp(argv=None) -> int:
-    return _run(sys.argv[1:] if argv is None else argv, ("rhp",), "solve-rhp")
+    return _run(argv, ("rhp",), "solve-rhp")
 
 
 def main_spectrum(argv=None) -> int:
-    return _run(sys.argv[1:] if argv is None else argv, ("spectrum2", "spectrum3"), "spectrum")
+    return _run(argv, ("spectrum2", "spectrum3"), "spectrum")
 
 
 def main_convergence(argv=None) -> int:
-    return _run(sys.argv[1:] if argv is None else argv, None, "convergence")
+    return _run(argv, None, "convergence")
 
 
 if __name__ == "__main__":

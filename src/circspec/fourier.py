@@ -200,8 +200,7 @@ def align_windows(u: CoeffVec, v: CoeffVec) -> tuple[np.ndarray, np.ndarray, np.
 def diff_norm(u: CoeffVec, v: CoeffVec, s: float) -> float:
     """Sobolev norm of u - v on the union window."""
     modes, a, b = align_windows(u, v)
-    w = sobolev_weights(modes, s)
-    return float(np.sqrt(np.sum((np.abs(a - b) * w) ** 2)))
+    return sobolev_norm(CoeffVec(int(modes[0]), a - b), s)
 
 
 def synth_powerlaw(kind: str, alpha: float, window: BandWindow, epsilon: float = 0.0) -> CoeffVec:

@@ -14,7 +14,6 @@ at the same BLAS thread count yields byte-identical CSV output.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -41,12 +40,8 @@ __all__ = [
     "ERROR_FLOOR",
 ]
 
-log = logging.getLogger(__name__)
-
-EXPERIMENTS = ("ode3", "spectrum2", "spectrum3", "rhp")
-
 # errors below this are double-precision noise and are excluded from slope
-# fits, with the exclusion logged per row
+# fits, with the exclusion reported per row
 ERROR_FLOOR = 1e-12
 
 # largest accepted N_ref: a solver window takes O(steps N) memory, with the
@@ -63,10 +58,11 @@ _DEFAULTS: dict[str, dict] = {
     "rhp": dict(alpha=1.51, epsilon=0.01, s=0.25, N_list=list(range(40, 401, 20)), N_ref=2000,
                 mode="finite_section", output_path="rhp.csv"),
     "spectrum2": dict(alpha=2.51, N_list=[41, 81, 161, 321], N_ref=501,
-                      mode="finite_section", output_path="spectrum2.csv", lambda_cap=50.0, g_scale=1.0),
+                      output_path="spectrum2.csv", lambda_cap=50.0, g_scale=1.0),
     "spectrum3": dict(alpha=2.51, N_list=[41, 81, 161, 321], N_ref=501,
-                      mode="finite_section", output_path="spectrum3.csv", lambda_cap=50.0, g_scale=1.0),
+                      output_path="spectrum3.csv", lambda_cap=50.0, g_scale=1.0),
 }
+EXPERIMENTS = tuple(_DEFAULTS)
 
 
 class ConfigError(ValueError):
@@ -119,8 +115,6 @@ class ExperimentConfig:
             check_mode(self.mode)
         except ValueError as exc:
             raise ConfigError(f"unknown mode {self.mode!r}") from exc
-        if self.experiment.startswith("spectrum") and self.mode != "finite_section":
-            raise ConfigError("spectrum experiments support only the finite_section mode")
         if not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         if "\0" in self.output_path:
@@ -187,9 +181,9 @@ class ConvergenceReport:
     notes: list = field(default_factory=list)
 
 
-def _fit_detail(rows, floor: float):
-    usable = [(i, n, e) for i, (n, e) in enumerate(rows) if e >= floor]
-    excluded = [(n, e, f"error below {floor:g} floor") for n, e in rows if e < floor]
+def _fit_detail(rows):
+    usable = [(i, n, e) for i, (n, e) in enumerate(rows) if e >= ERROR_FLOOR]
+    excluded = [(n, e, f"error below {ERROR_FLOOR:g} floor") for n, e in rows if e < ERROR_FLOOR]
     if len(usable) < 2:
         return None, [i for i, _, _ in usable], excluded
     xs = np.log([n for _, n, _ in usable])
@@ -198,15 +192,15 @@ def _fit_detail(rows, floor: float):
     return slope, [i for i, _, _ in usable], excluded
 
 
-def fit_slope(rows, floor: float = ERROR_FLOOR) -> float:
+def fit_slope(rows) -> float:
     """Least-squares slope of log(error) against log(N).
 
-    Rows with error below the floor (which covers zero and negative values)
+    Rows with error below ERROR_FLOOR (which covers zero and negative values)
     are excluded; fewer than two usable rows is an error.
     """
-    slope, used, _ = _fit_detail(list(rows), floor)
+    slope, _, _ = _fit_detail(list(rows))
     if slope is None:
-        raise ValueError(f"need at least 2 rows with error >= {floor:g} to fit a slope")
+        raise ValueError(f"need at least 2 rows with error >= {ERROR_FLOOR:g} to fit a slope")
     return slope
 
 
@@ -238,9 +232,7 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
         rows = list(zip(cfg.N_list, errors))
         eigen_rows, notes = None, []
 
-    slope, used, excluded = _fit_detail(rows, ERROR_FLOOR)
-    for n, e, reason in excluded:
-        log.info("slope fit: excluded N=%d error=%.3e (%s)", n, e, reason)
+    slope, used, excluded = _fit_detail(rows)
     if slope is None:
         notes = notes + ["slope undefined: fewer than 2 errors above the precision floor"]
     return ConvergenceReport(rows=rows, fitted_slope=slope, fit_range=used,

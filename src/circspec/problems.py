@@ -25,27 +25,25 @@ def coefficient_window(n_ref: int) -> BandWindow:
     return BandWindow(2 * n_ref - 1)
 
 
+def _potential(alpha: float, n_ref: int, g_scale: float) -> CoeffVec:
+    """The power-law variable part g_scale (1+|j|)^(-alpha) on the coefficient window."""
+    return synth_powerlaw("g", alpha, coefficient_window(n_ref)).scaled(g_scale)
+
+
 def third_order_ode(alpha: float, n_ref: int, g_scale: float = 1.0) -> tuple[DiffOpSpec, CoeffVec]:
     """-u''' + g u = h with power-law data; returns (operator, right-hand side)."""
-    w = coefficient_window(n_ref)
-    g = synth_powerlaw("g", alpha, w).scaled(g_scale)
-    h = synth_powerlaw("h", alpha, w)
-    spec = DiffOpSpec.from_orders({3: -1.0}, var=(g,), ell=1.0)
-    return spec, h
+    spec = DiffOpSpec.from_orders({3: -1.0}, var=(_potential(alpha, n_ref, g_scale),), ell=1.0)
+    return spec, synth_powerlaw("h", alpha, coefficient_window(n_ref))
 
 
 def second_order_operator(alpha: float, n_ref: int, g_scale: float = 1.0) -> DiffOpSpec:
     """-d^2/dtheta^2 + g with power-law g; self-adjoint."""
-    w = coefficient_window(n_ref)
-    g = synth_powerlaw("g", alpha, w).scaled(g_scale)
-    return DiffOpSpec.from_orders({2: -1.0}, var=(g,), ell=2.0)
+    return DiffOpSpec.from_orders({2: -1.0}, var=(_potential(alpha, n_ref, g_scale),), ell=2.0)
 
 
 def third_order_operator(alpha: float, n_ref: int, g_scale: float = 1.0) -> DiffOpSpec:
     """-i d^3/dtheta^3 + g with power-law g; real symbol -m^3, self-adjoint."""
-    w = coefficient_window(n_ref)
-    g = synth_powerlaw("g", alpha, w).scaled(g_scale)
-    return DiffOpSpec.from_orders({3: -1.0j}, var=(g,), ell=2.0)
+    return DiffOpSpec.from_orders({3: -1.0j}, var=(_potential(alpha, n_ref, g_scale),), ell=2.0)
 
 
 def rhp_jump(alpha: float, epsilon: float, n_ref: int) -> JumpSpec:

@@ -278,7 +278,7 @@ def truncation_coincidence(spec: DiffOpSpec, w: BandWindow, c: float) -> Truncat
     full = np.sort(np.concatenate([inside, tails]))
     return TruncationCoincidence(
         radius=radius,
-        finite_section=np.sort(inside),
+        finite_section=inside,
         full_space=full,
-        hausdorff=_hausdorff(np.sort(inside), full),
+        hausdorff=_hausdorff(inside, full),
     )

@@ -103,8 +103,10 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_dict({"experiment": "spectrum3", "N_ref": 4096}).N_ref == 4096
 
     def test_spectrum_rejects_collocation(self):
-        with pytest.raises(ConfigError, match="finite_section"):
-            ExperimentConfig.from_dict({"experiment": "spectrum2", "mode": "collocation"})
+        # the spectrum studies read no mode, so setting it, even to the one they use, is rejected
+        for mode in ("collocation", "finite_section"):
+            with pytest.raises(ConfigError, match=r"unknown configuration keys: \['mode'\]; spectrum2 reads"):
+                ExperimentConfig.from_dict({"experiment": "spectrum2", "mode": mode})
 
     def test_bad_json_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -299,6 +301,18 @@ class TestCli:
         text = (tmp_path / "s.csv").read_text()
         assert text.startswith("N,lambda,d,r")
 
+    def test_excluded_rows_printed(self, tmp_path, capsys):
+        # the N=81 distance of this spectrum3 sweep is below the floor; stdout lists it after the slope
+        cfg = self.write_cfg(tmp_path, {"experiment": "spectrum3", "N_list": [41, 81], "N_ref": 161,
+                                        "output_path": str(tmp_path / "s.csv")})
+        assert main_spectrum(["--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        excluded = run_experiment(ExperimentConfig.from_json_file(cfg)).excluded
+        assert [n for n, _, _ in excluded] == [81]
+        at = next(i for i, line in enumerate(lines) if line.startswith("slope="))
+        assert lines[at + 1:at + 1 + len(excluded)] == [
+            f"excluded: N={n} error={e:.6e} ({reason})" for n, e, reason in excluded]
+
     def test_large_reference_solves(self, tmp_path, capsys):
         # the regulated estimate stays near 1 at N_ref 20001, far below the 1e12 cap
         cfg = self.write_cfg(tmp_path, {"experiment": "ode3", "N_list": [40, 80], "N_ref": 20001,
@@ -327,9 +341,10 @@ class TestCli:
         {"experiment": "spectrum2", "lambda_cap": float("nan")},
         {"experiment": "spectrum2", "lambda_cap": 0},
         {"output_path": "o\u0000.csv"},
+        {"mode": "nodal"},
     ], ids=["alpha-nan", "s-string", "N_list-string", "N_ref-inf", "lambda_cap-nan", "unwritable-output",
             "N_ref-solver-too-large", "N_ref-spectrum-too-large", "alpha-beyond-float",
-            "spectrum-lambda_cap-nan", "spectrum-lambda_cap-zero", "output-nul"])
+            "spectrum-lambda_cap-nan", "spectrum-lambda_cap-zero", "output-nul", "mode-unknown"])
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, override):
         monkeypatch.chdir(tmp_path)
         raw = {"experiment": "ode3", "N_list": [16, 24], "N_ref": 65, "output_path": "o.csv", **override}

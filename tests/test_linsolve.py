@@ -6,7 +6,19 @@ from functools import partial
 import numpy as np
 import pytest
 
-from circspec import BandWindow, SolveError, solve_ode, solve_rhp
+import circspec.linsolve
+from circspec import (
+    BandWindow,
+    CoeffVec,
+    DiffOpSpec,
+    SolveError,
+    evaluate_on_grid,
+    exact_constant_solve,
+    interpolate,
+    project,
+    solve_ode,
+    solve_rhp,
+)
 from circspec.linsolve import MAX_ITER, solve_checked
 from circspec.problems import rhp_jump, third_order_ode
 
@@ -45,6 +57,26 @@ class TestSolveChecked:
         d = np.array([0.0, 1.0, 2.0, 3.0], dtype=complex)
         with pytest.raises(SolveError, match="condition estimate"):
             solve_checked(lambda v: d * v, np.ones(4, dtype=complex))
+        # the zero operator leaves the Hessenberg matrix singular after one step
+        with pytest.raises(SolveError, match="condition estimate inf exceeds cap"):
+            solve_checked(lambda v: 0 * v, np.ones(4, dtype=complex))
+
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_refinement_rescues_a_missed_residual(self, monkeypatch, mode):
+        # the symbol m^2 - 25.000001 is -1e-6 at m = +-5: the first GMRES pass meets its estimate
+        # but leaves a true residual about 1e-9 of the right-hand side, above the 1e-10 check,
+        # and one refinement pass brings it to about 1e-16
+        passes = []
+        gmres = circspec.linsolve._gmres
+        monkeypatch.setattr(circspec.linsolve, "_gmres", lambda *args: passes.append(1) or gmres(*args))
+        spec = DiffOpSpec.from_orders({2: -1.0, 0: -25.000001})
+        f = CoeffVec.from_dict({m: 1 + 0.1j * m for m in range(-14, 15)})
+        w = BandWindow(13)
+        u = solve_ode(spec, f, w, mode=mode)
+        assert len(passes) == 2
+        data = project(f, w) if mode == "finite_section" else interpolate(evaluate_on_grid(f, w.N))
+        exact = exact_constant_solve(spec, data).coeffs
+        assert np.linalg.norm(u.coeffs - exact) <= 1e-13 * np.linalg.norm(exact)
 
     def test_iteration_cap_fails_on_residual(self):
         # the cyclic shift is unitary, but GMRES makes no progress on it
