@@ -22,7 +22,9 @@ are tested against: diagonal differential symbols, Toeplitz multiplication,
 the Cauchy projectors, diagonal resolvent-type regulators, Hankel-type
 couplings from negative to nonnegative modes, and the same compressions as
 dense matrices.  Row and column index i of a matrix corresponds to mode
-i - n_minus, the same map on both sides.
+i - n_minus, the same map on both sides.  The eigensolver reads the
+finite-section compression through _finite_section_entries, which builds a
+real compression as float64, without a complex N x N.
 """
 
 from __future__ import annotations
@@ -225,10 +227,15 @@ def assemble_L0(spec: DiffOpSpec, w: BandWindow) -> OperatorMatrix:
     return OperatorMatrix(w, np.diag(spec.symbol(w.modes())))
 
 
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """N x N matrix with entry (r, c) = row[N - 1 + r - c], from the 2N - 1 values of modes 1-N..N-1."""
+    n = (len(row) + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(row[::-1], n)[::-1].copy()
+
+
 def _toeplitz_entries(h: CoeffVec, w: BandWindow) -> np.ndarray:
     """Entry (r, c) = h_{r-c}; row r is the N-long run of h's modes r, r-1, .., r-(N-1)."""
-    n = w.N
-    return np.lib.stride_tricks.sliding_window_view(h.padded(1 - n, n - 1)[::-1], n)[::-1].copy()
+    return _toeplitz(h.padded(1 - w.N, w.N - 1))
 
 
 def assemble_mult_toeplitz(h: CoeffVec, w: BandWindow) -> OperatorMatrix:
@@ -337,14 +344,34 @@ def assemble_finite_section_ode(spec: DiffOpSpec, w: BandWindow) -> OperatorMatr
     diagonal symbol plus, for each variable order j, the Toeplitz matrix of
     a_j times the diagonal of (i m)^j.
     """
+    return OperatorMatrix(w, _finite_section_entries(spec, w))
+
+
+def _finite_section_entries(spec: DiffOpSpec, w: BandWindow) -> np.ndarray:
+    """The entries of assemble_finite_section_ode, writable and in the field they live in.
+
+    float64 when the variable part has order 0 and real coefficients on the
+    mode differences 1-N..N-1, and the symbol is real on the window: the
+    Toeplitz matrix of the real coefficients plus the real symbol on the
+    diagonal, bit for bit the real part of the complex assembly.  complex
+    otherwise, and then terms of order >= 1 may still sum to a real matrix.
+    """
+    n = w.N
     modes = w.modes()
-    entries = np.zeros((w.N, w.N), dtype=complex)
-    for j, a in enumerate(spec.var_coeffs):
-        t = _toeplitz_entries(a, w)
+    sym = spec.symbol(modes)
+    rows = [a.padded(1 - n, n - 1) for a in spec.var_coeffs]
+    if spec.p <= 0 and not sym.imag.any() and not any(row.imag.any() for row in rows):
+        # adding 0.0 turns -0.0 into 0.0, as the complex path's zero start does
+        entries = _toeplitz(rows[0].real + 0.0) if rows else np.zeros((n, n))
+        entries[np.diag_indices(n)] += sym.real
+        return entries
+    entries = np.zeros((n, n), dtype=complex)
+    for j, row in enumerate(rows):
+        t = _toeplitz(row)
         # (i m)^0 = 1, so order 0 adds its Toeplitz matrix unscaled
         entries += t * (1j * modes[None, :]) ** j if j else t
-    entries[np.diag_indices(w.N)] += spec.symbol(modes)
-    return OperatorMatrix(w, entries)
+    entries[np.diag_indices(n)] += sym
+    return entries
 
 
 def _interpolate_columns(samples: np.ndarray, w: BandWindow) -> np.ndarray:

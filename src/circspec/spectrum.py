@@ -13,10 +13,13 @@ absolute eigenvalue error near the origin from order eps*||A|| to roughly
 eps*(|lambda| + coupling), which is what makes double-precision
 convergence studies readable below 1e-10.
 
-A compression whose imaginary part is exactly zero, as real even
-coefficients give, is solved in the real field: a real symmetric
-eigensolve costs about a quarter of the flops of a complex Hermitian one.
-A complex Hermitian compression stays on the complex path.
+The field is chosen when the compression is assembled: an order-0
+variable part with real coefficients under a real symbol, as both shipped
+operators have, is assembled as a real symmetric matrix, never as a
+complex one, and solved in the real field, where the eigensolve costs
+about a quarter of the flops of a complex Hermitian one.  A complex
+Hermitian compression stays on the complex path; only one that becomes
+real after its terms are summed is reduced by inspection.
 
 A compression that commutes with the mode flip m -> -m is split into its
 even and odd halves before the eigensolve, the classical cosine/sine
@@ -38,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fourier import BandWindow, sobolev_weights
-from .operators import DiffOpSpec, _symbol_reach, assemble_finite_section_ode
+from .operators import DiffOpSpec, _finite_section_entries, _symbol_reach, assemble_finite_section_ode
 
 __all__ = [
     "EigenReport",
@@ -86,8 +89,9 @@ def eigenpairs_self_adjoint(spec: DiffOpSpec, w: BandWindow) -> tuple[EigenRepor
 
     Rejects matrices with asymmetry beyond 1e-12 (relative to the largest
     entry); verifies ||A v - lambda v|| <= 1e-10 ||A|| for every pair.
-    A compression whose imaginary part is exactly zero (real symmetric) is
-    solved in the real field, and its eigenvectors are then real.
+    A compression assembled real (real order-0 coefficients, real symbol),
+    or one whose summed imaginary part is exactly zero, is solved in the
+    real field, and its eigenvectors are then real.
 
     When N is odd (N >= 3) and A equals A[::-1, ::-1] exactly, that is
     A_{m,n} = A_{-m,-n} for all window modes, A commutes with the mode flip
@@ -111,10 +115,12 @@ def _eigensolve(spec: DiffOpSpec, w: BandWindow) -> tuple[EigenReport, tuple, np
 
     Returns the report, the eigenvectors of each block (one block, or the
     even and the odd one), and the order that sorts their concatenated
-    eigenvalues.
+    eigenvalues.  The compression comes from _finite_section_entries, real
+    when its coefficients and symbol are; a complex one is reduced to its
+    real part only when its imaginary part is exactly zero.
     """
-    a = assemble_finite_section_ode(spec, w).entries
-    if not a.imag.any():
+    a = _finite_section_entries(spec, w)
+    if np.iscomplexobj(a) and not a.imag.any():
         a = np.ascontiguousarray(a.real)
     scale = max(1.0, float(np.abs(a).max()))
     asym = float(np.abs(a - a.conj().T).max())
@@ -140,7 +146,8 @@ def _rayleigh(a: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     num = np.einsum("ij,ij->j", vecs.conj(), av).real
     den = np.einsum("ij,ij->j", vecs.conj(), vecs).real
     lam = num / den
-    return lam, np.linalg.norm(av - vecs * lam[None, :], axis=0)
+    av -= vecs * lam[None, :]
+    return lam, np.linalg.norm(av, axis=0)
 
 
 def _flip_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,16 +192,22 @@ def _unflip(ye: np.ndarray, yo: np.ndarray, order: np.ndarray) -> np.ndarray:
 def eigen_distances(test: EigenReport, reference: EigenReport) -> EigenDistances:
     """Nearest-distance matching of test eigenvalues against a finer reference.
 
-    d_j = min_i |lam_j - ref_i| (ties resolved toward the smaller reference
-    index), and the rescaled error d_j N^ell (2 + |lam_j|)^(-ell/k) uses the
-    test window size and the test eigenvalue.
+    d_j = min_i |lam_j - ref_i|, read from the two reference values around
+    lam_j's insertion index in the ascending reference, and the rescaled
+    error d_j N^ell (2 + |lam_j|)^(-ell/k) uses the test window size and the
+    test eigenvalue.
     """
     if reference.window.N < test.window.N:
         raise ValueError("reference window must not be smaller than the test window")
     if test.ell is None:
         raise ValueError("test report carries no coefficient-regularity metadata")
     lam = test.eigenvalues
-    dist = np.abs(lam[:, None] - reference.eigenvalues[None, :]).min(axis=1)
+    ref = reference.eigenvalues
+    # ref ascends, so the nearest value is a neighbour of lam's insertion index
+    i = np.searchsorted(ref, lam)
+    below = ref[np.maximum(i - 1, 0)]
+    above = ref[np.minimum(i, len(ref) - 1)]
+    dist = np.minimum(np.abs(lam - below), np.abs(lam - above))
     rescaled = dist * float(test.window.N) ** test.ell * (2.0 + np.abs(lam)) ** (-test.ell / test.k)
     return EigenDistances(lam=lam, dist=dist, rescaled=rescaled)
 

@@ -25,8 +25,8 @@ from circspec import (
     sie_regulator,
     synth_powerlaw,
 )
-from circspec.operators import OperatorMatrix, _symbol_reach
-from circspec.problems import rhp_jump
+from circspec.operators import OperatorMatrix, _finite_section_entries, _symbol_reach, _toeplitz_entries
+from circspec.problems import rhp_jump, second_order_operator, third_order_operator
 
 from oracles import apply_diff_op, dft_matrices, grid_multiply, random_coeffvec
 
@@ -200,6 +200,69 @@ class TestFiniteSectionOde:
             left = assemble_finite_section_ode(spec, w).entries @ u.coeffs
             right = project(apply_diff_op(spec, u), w).coeffs
             assert np.abs(left - right).max() <= 1e-11
+
+
+def entrywise_finite_section(spec: DiffOpSpec, w: BandWindow) -> np.ndarray:
+    """Entry (r, c) = sum_j a_j.get(m_r - m_c) (i m_c)^j + delta_rc symbol(m_r), one entry at a time."""
+    m = w.modes()
+    sym = spec.symbol(m)
+    out = np.zeros((w.N, w.N), dtype=complex)
+    for r in range(w.N):
+        for c in range(w.N):
+            v = sum(a.get(m[r] - m[c]) * (1j * m[c]) ** j for j, a in enumerate(spec.var_coeffs))
+            out[r, c] = v + sym[r] if r == c else v
+    return out
+
+
+class TestFiniteSectionField:
+    """The compression is assembled real exactly when an order-0 real variable part meets a real symbol."""
+
+    @pytest.mark.parametrize("build", [second_order_operator, third_order_operator])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17])
+    def test_shipped_spectrum_operators_assemble_real(self, build, n):
+        spec = build(2.51, 17)
+        w = BandWindow(n)
+        entries = _finite_section_entries(spec, w)
+        assert entries.dtype == np.float64
+        assert np.array_equal(entries, entrywise_finite_section(spec, w))
+        public = assemble_finite_section_ode(spec, w).entries
+        assert np.iscomplexobj(public) and np.array_equal(public, entries)
+
+    @pytest.mark.parametrize("spec", [
+        second_order_operator(2.51, 65),
+        third_order_operator(2.51, 65),
+        DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({-1: -0.0, 0: 0.5, 1: -0.0}),)),
+    ], ids=["spectrum2", "spectrum3", "negative-zeros"])
+    def test_real_part_of_the_complex_assembly_bit_for_bit(self, spec):
+        w = BandWindow(33)
+        summed = np.zeros((w.N, w.N), dtype=complex)
+        summed += _toeplitz_entries(spec.var_coeffs[0], w)
+        summed[np.diag_indices(w.N)] += spec.symbol(w.modes())
+        assert _finite_section_entries(spec, w).tobytes() == np.ascontiguousarray(summed.real).tobytes()
+
+    def test_constant_operator_assembles_real(self):
+        spec = DiffOpSpec.from_orders({2: -1.0, 0: 2.75})
+        entries = _finite_section_entries(spec, BandWindow(9))
+        assert entries.dtype == np.float64
+        assert np.array_equal(entries, np.diag(BandWindow(9).modes() ** 2 + 2.75))
+
+    @pytest.mark.parametrize("spec", [
+        DiffOpSpec.from_orders({3: -1.0}),
+        DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 2.0 - 0.5j}),)),
+        DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({-1: -0.3j, 0: 0.5, 1: 0.3j}),)),
+        DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({-1: 0.3j, 0: 0.5, 1: 0.3j}),)),
+        DiffOpSpec.from_orders({3: -1.0, 2: 0.7j}, var=(CoeffVec.from_dict({-2: 0.4, 0: 1.0 + 0.2j, 1: -0.3}),
+                                                         CoeffVec.from_dict({-1: 0.5j, 1: 0.25}))),
+        # real coefficients, but a first-order variable term
+        DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 0.5}), CoeffVec.from_dict({1: 0.2}))),
+    ], ids=["pure-odd-symbol", "complex-constant", "complex-hermitian", "flip-non-hermitian",
+            "first-order-complex", "first-order-real"])
+    def test_complex_compressions_stay_complex(self, spec):
+        w = BandWindow(9)
+        entries = _finite_section_entries(spec, w)
+        assert entries.dtype == np.complex128
+        assert np.array_equal(entries, entrywise_finite_section(spec, w))
+        assert np.array_equal(assemble_finite_section_ode(spec, w).entries, entries)
 
 
 class TestCollocationOde:

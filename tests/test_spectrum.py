@@ -1,5 +1,7 @@
 """Tests for eigenvalue approximation, matching, clusters, and resolvents."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from circspec import (
     BandWindow,
     CoeffVec,
     DiffOpSpec,
+    EigenReport,
     assemble_finite_section_ode,
     cluster_multiplicities,
     eigen_distances,
@@ -80,6 +83,26 @@ class TestEigenvaluesSelfAdjoint:
         rep = eigenvalues_self_adjoint(spec, BandWindow(17))
         assert rep.k == 2 and rep.p == 0 and rep.ell == 2.0
         assert rep.window.N == 17
+
+
+@pytest.mark.parametrize("build, n_squares", [
+    # the Hermitian check holds A, A - A^T and its modulus; the two blocks are a quarter each
+    (second_order_operator, 3.5),
+    # eigh's vectors, A V and the product V diag(lambda) it subtracts in place, beside A
+    (third_order_operator, 4.5),
+])
+def test_eigensolve_memory(build, n_squares):
+    # a complex assembly, its Toeplitz copy and the real copy of it held six real N x N arrays
+    n = 501
+    spec, w = build(2.51, n), BandWindow(n)
+    eigenvalues_self_adjoint(spec, w)
+    tracemalloc.start()
+    try:
+        eigenvalues_self_adjoint(spec, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_squares * n * n * 8
 
 
 class TestFlipSplit:
@@ -160,6 +183,43 @@ class TestEigenDistances:
         n, ell, k = 17.0, 2.0, 2.0
         manual = d.dist * n ** ell * (2.0 + np.abs(small.eigenvalues)) ** (-ell / k)
         assert np.allclose(d.rescaled, manual)
+
+
+def _report(values) -> EigenReport:
+    return EigenReport(window=BandWindow(len(values)), eigenvalues=values, ell=2.0, k=2, p=0)
+
+
+class TestEigenDistancesBruteForce:
+    """Neighbours of the insertion index give the distances of the full minimum, bit for bit."""
+
+    @staticmethod
+    def check(test, ref):
+        d = eigen_distances(_report(np.asarray(test, dtype=float)), _report(np.asarray(ref, dtype=float)))
+        brute = np.abs(d.lam[:, None] - np.asarray(ref, dtype=float)[None, :]).min(axis=1)
+        assert d.dist.tobytes() == brute.tobytes()
+
+    def test_random_ascending_sets(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n_ref = int(rng.integers(1, 40))
+            n = int(rng.integers(1, n_ref + 1))
+            ref = np.sort(rng.standard_normal(n_ref) * 10.0 ** rng.integers(-3, 4))
+            # test values spill past both ends of the reference range
+            test = np.sort(rng.uniform(ref[0] - 5.0, ref[-1] + 5.0, n))
+            self.check(test, ref)
+
+    def test_ties_and_duplicates(self):
+        ref = [-1.0, 0.0, 0.0, 1.0, 1.0, 3.0]
+        # 0.5 and 2.0 sit exactly halfway between two reference values; 0.0 and 1.0 hit duplicates
+        self.check([-2.0, 0.0, 0.5, 1.0, 2.0, 4.0], ref)
+
+    def test_one_element_reference(self):
+        self.check([-3.0], [2.0])
+        self.check([2.0], [2.0])
+
+    def test_values_outside_the_reference_range(self):
+        self.check([-1e9, -10.0, 10.0], [-1.0, 0.5, 2.0, 1e3])
+        self.check([1e6, 1e9, 1e12], [-1.0, 0.5, 2.0, 1e3])
 
 
 class TestClusterMultiplicities:
