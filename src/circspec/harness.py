@@ -164,7 +164,7 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, or nested too deep
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(raw)
 

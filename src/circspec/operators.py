@@ -350,26 +350,23 @@ def assemble_finite_section_ode(spec: DiffOpSpec, w: BandWindow) -> OperatorMatr
 def _finite_section_entries(spec: DiffOpSpec, w: BandWindow) -> np.ndarray:
     """The entries of assemble_finite_section_ode, writable and in the field they live in.
 
-    float64 when the variable part has order 0 and real coefficients on the
-    mode differences 1-N..N-1, and the symbol is real on the window: the
-    Toeplitz matrix of the real coefficients plus the real symbol on the
-    diagonal, bit for bit the real part of the complex assembly.  complex
-    otherwise, and then terms of order >= 1 may still sum to a real matrix.
+    The field is chosen once, before the terms are summed: float64 when the
+    variable part has order 0 with real coefficients on the mode differences
+    1-N..N-1 and the symbol is real on the window, complex otherwise, even
+    when terms of order >= 1 sum to a real matrix.  Each variable order j
+    adds the Toeplitz matrix of a_j times the diagonal of (i m)^j, and the
+    symbol is added on the diagonal.
     """
     n = w.N
     modes = w.modes()
     sym = spec.symbol(modes)
     rows = [a.padded(1 - n, n - 1) for a in spec.var_coeffs]
     if spec.p <= 0 and not sym.imag.any() and not any(row.imag.any() for row in rows):
-        # adding 0.0 turns -0.0 into 0.0, as the complex path's zero start does
-        entries = _toeplitz(rows[0].real + 0.0) if rows else np.zeros((n, n))
-        entries[np.diag_indices(n)] += sym.real
-        return entries
-    entries = np.zeros((n, n), dtype=complex)
-    for j, row in enumerate(rows):
-        t = _toeplitz(row)
-        # (i m)^0 = 1, so order 0 adds its Toeplitz matrix unscaled
-        entries += t * (1j * modes[None, :]) ** j if j else t
+        sym, rows = sym.real, [row.real for row in rows]
+    # order 0 seeds the sum; adding 0.0 turns -0.0 into 0.0, as a sum started from zero does
+    entries = _toeplitz(rows[0] + 0.0) if rows else np.zeros((n, n), dtype=sym.dtype)
+    for j, row in enumerate(rows[1:], 1):
+        entries += _toeplitz(row) * (1j * modes[None, :]) ** j
     entries[np.diag_indices(n)] += sym
     return entries
 

@@ -342,15 +342,26 @@ class TestCli:
         {"experiment": "spectrum2", "lambda_cap": 0},
         {"output_path": "o\u0000.csv"},
         {"mode": "nodal"},
+        {"N_list": []},
     ], ids=["alpha-nan", "s-string", "N_list-string", "N_ref-inf", "lambda_cap-nan", "unwritable-output",
             "N_ref-solver-too-large", "N_ref-spectrum-too-large", "alpha-beyond-float",
-            "spectrum-lambda_cap-nan", "spectrum-lambda_cap-zero", "output-nul", "mode-unknown"])
+            "spectrum-lambda_cap-nan", "spectrum-lambda_cap-zero", "output-nul", "mode-unknown",
+            "N_list-empty"])
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, override):
         monkeypatch.chdir(tmp_path)
         raw = {"experiment": "ode3", "N_list": [16, 24], "N_ref": 65, "output_path": "o.csv", **override}
         cfg = self.write_cfg(tmp_path, raw)  # json writes NaN and Infinity literals
         assert main_convergence(["--config", cfg]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # json.load raises RecursionError, not ValueError, on 100000 nested arrays
+        cfg = tmp_path / "nested.json"
+        cfg.write_text("[" * 100000 + "]" * 100000)
+        assert main_convergence(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "invalid JSON" in err
+        assert "Traceback" not in err
 
 
 ROOT = Path(__file__).resolve().parents[1]

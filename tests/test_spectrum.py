@@ -19,6 +19,7 @@ from circspec import (
     sobolev_norm,
     truncation_coincidence,
 )
+from circspec import spectrum
 from circspec.problems import second_order_operator, third_order_operator
 
 
@@ -71,6 +72,29 @@ class TestEigenvaluesSelfAdjoint:
         resid = np.linalg.norm(a @ vecs - vecs * rep.eigenvalues[None, :], axis=0)
         assert resid.max() <= 1e-10 * np.linalg.norm(a, 2)
 
+    def test_field_is_chosen_at_assembly(self):
+        # a first-order term is assembled complex, even though 0.5i (i m) = -0.5 m sums to a real diagonal
+        spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 0.5}), CoeffVec.from_dict({0: 0.5j})))
+        w = BandWindow(17)
+        m = w.modes()
+        closed_form = m ** 2 + 0.5 - 0.5 * m
+        a = assemble_finite_section_ode(spec, w).entries
+        assert np.array_equal(a, np.diag(closed_form))
+        rep, vecs = eigenpairs_self_adjoint(spec, w)
+        assert np.iscomplexobj(vecs)
+        assert np.abs(rep.eigenvalues - np.sort(closed_form)).max() <= 1e-12 * np.linalg.norm(a, 2)
+
+    def test_residual_gate(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(b):
+            vals, vecs = eigh(b)
+            return vals, vecs + 1e-3 * np.roll(vecs, 1, axis=1)
+
+        monkeypatch.setattr(spectrum.np.linalg, "eigh", perturbed)
+        with pytest.raises(ValueError, match="eigenpair residual"):
+            eigenvalues_self_adjoint(second_order_operator(2.51, 33), BandWindow(33))
+
     def test_rejects_flip_symmetric_non_hermitian(self):
         # g_{-1} = g_1 = 0.3i makes the compression flip-symmetric but not Hermitian
         g = CoeffVec.from_dict({-1: 0.3j, 0: 0.5, 1: 0.3j})
@@ -86,8 +110,8 @@ class TestEigenvaluesSelfAdjoint:
 
 
 @pytest.mark.parametrize("build, n_squares", [
-    # the Hermitian check holds A, A - A^T and its modulus; the two blocks are a quarter each
-    (second_order_operator, 3.5),
+    # A, its even and odd blocks and their eigenvectors (a quarter each), and the Rayleigh products
+    (second_order_operator, 3.0),
     # eigh's vectors, A V and the product V diag(lambda) it subtracts in place, beside A
     (third_order_operator, 4.5),
 ])
@@ -307,6 +331,14 @@ class TestTruncationCoincidence:
         assert rep.hausdorff > 1.0
         assert len(rep.full_space) > len(rep.finite_section)
 
+
+    def test_nothing_inside_the_radius(self):
+        # radius 0.01 * 9 = 0.09 lies below every eigenvalue m^2 + 5 and every tail value
+        spec = DiffOpSpec.from_orders({2: -1.0, 0: 5.0})
+        rep = truncation_coincidence(spec, BandWindow(9), 0.01)
+        assert rep.radius == pytest.approx(0.09)
+        assert len(rep.finite_section) == 0 and len(rep.full_space) == 0
+        assert rep.hausdorff == 0.0
 
     def test_tail_dip_beyond_clear_modes(self):
         # m^2 - 1e6 clears the radius 2.05 on the tail modes up to |m| = 998,
