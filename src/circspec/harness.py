@@ -182,9 +182,12 @@ class ConvergenceReport:
 
 
 def _fit_detail(rows):
+    for n, e in rows:
+        if not (0 < n < np.inf and np.isfinite(e)):
+            raise ValueError(f"cannot fit the row N={n}, error={e}: N must be positive and finite, the error finite")
     usable = [(i, n, e) for i, (n, e) in enumerate(rows) if e >= ERROR_FLOOR]
     excluded = [(n, e, f"error below {ERROR_FLOOR:g} floor") for n, e in rows if e < ERROR_FLOOR]
-    if len(usable) < 2:
+    if len({n for _, n, _ in usable}) < 2:
         return None, [i for i, _, _ in usable], excluded
     xs = np.log([n for _, n, _ in usable])
     ys = np.log([e for _, _, e in usable])
@@ -196,11 +199,12 @@ def fit_slope(rows) -> float:
     """Least-squares slope of log(error) against log(N).
 
     Rows with error below ERROR_FLOOR (which covers zero and negative values)
-    are excluded; fewer than two usable rows is an error.
+    are excluded; usable rows at fewer than two distinct N are an error, and
+    so is a row whose N is not positive and finite or whose error is not finite.
     """
     slope, _, _ = _fit_detail(list(rows))
     if slope is None:
-        raise ValueError(f"need at least 2 rows with error >= {ERROR_FLOOR:g} to fit a slope")
+        raise ValueError(f"need at least 2 rows at distinct N with error >= {ERROR_FLOOR:g} to fit a slope")
     return slope
 
 

@@ -22,9 +22,14 @@ are tested against: diagonal differential symbols, Toeplitz multiplication,
 the Cauchy projectors, diagonal resolvent-type regulators, Hankel-type
 couplings from negative to nonnegative modes, and the same compressions as
 dense matrices.  Row and column index i of a matrix corresponds to mode
-i - n_minus, the same map on both sides.  The eigensolver reads the
-finite-section compression through _finite_section_entries, which builds a
-real compression as float64, without a complex N x N.
+i - n_minus, the same map on both sides.  Every dense compression of a
+multiplication is the Toeplitz matrix of one row, _difference_row, which
+gives the multiplier's entry for each mode difference 1-N..N-1: its
+coefficients for the finite section, and its coefficients folded mod N
+for collocation, the same rule the circulant product follows.  The
+eigensolver reads the finite-section compression through
+_compression_entries, which builds a real compression as float64, without
+a complex N x N.
 """
 
 from __future__ import annotations
@@ -233,9 +238,22 @@ def _toeplitz(row: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(row[::-1], n)[::-1].copy()
 
 
-def _toeplitz_entries(h: CoeffVec, w: BandWindow) -> np.ndarray:
-    """Entry (r, c) = h_{r-c}; row r is the N-long run of h's modes r, r-1, .., r-(N-1)."""
-    return _toeplitz(h.padded(1 - w.N, w.N - 1))
+def _difference_row(h: CoeffVec, n: int, mode: str) -> np.ndarray:
+    """h's entry for each mode difference 1-n..n-1 of an n-mode compression.
+
+    finite_section reads h's coefficient of the difference; collocation, which
+    multiplies on the n-point grid and interpolates back, reads the coefficients
+    folded mod n, so difference d takes folded slot d mod n.
+    """
+    if mode == "finite_section":
+        return h.padded(1 - n, n - 1)
+    f = h.folded(n)
+    return np.concatenate((f[1:], f))
+
+
+def _toeplitz_entries(h: CoeffVec, w: BandWindow, mode: str = "finite_section") -> np.ndarray:
+    """Entry (r, c) = h's entry for the mode difference r - c (see _difference_row)."""
+    return _toeplitz(_difference_row(h, w.N, mode))
 
 
 def assemble_mult_toeplitz(h: CoeffVec, w: BandWindow) -> OperatorMatrix:
@@ -344,23 +362,24 @@ def assemble_finite_section_ode(spec: DiffOpSpec, w: BandWindow) -> OperatorMatr
     diagonal symbol plus, for each variable order j, the Toeplitz matrix of
     a_j times the diagonal of (i m)^j.
     """
-    return OperatorMatrix(w, _finite_section_entries(spec, w))
+    return OperatorMatrix(w, _compression_entries(spec, w))
 
 
-def _finite_section_entries(spec: DiffOpSpec, w: BandWindow) -> np.ndarray:
-    """The entries of assemble_finite_section_ode, writable and in the field they live in.
+def _compression_entries(spec: DiffOpSpec, w: BandWindow, mode: str = "finite_section") -> np.ndarray:
+    """The entries of assemble_finite_section_ode or assemble_collocation_ode, writable
+    and in the field they live in.
 
     The field is chosen once, before the terms are summed: float64 when the
-    variable part has order 0 with real coefficients on the mode differences
+    variable part has order 0 with real entries on the mode differences
     1-N..N-1 and the symbol is real on the window, complex otherwise, even
     when terms of order >= 1 sum to a real matrix.  Each variable order j
-    adds the Toeplitz matrix of a_j times the diagonal of (i m)^j, and the
-    symbol is added on the diagonal.
+    adds the Toeplitz matrix of a_j's difference row times the diagonal of
+    (i m)^j, and the symbol is added on the diagonal.
     """
     n = w.N
     modes = w.modes()
     sym = spec.symbol(modes)
-    rows = [a.padded(1 - n, n - 1) for a in spec.var_coeffs]
+    rows = [_difference_row(a, n, mode) for a in spec.var_coeffs]
     if spec.p <= 0 and not sym.imag.any() and not any(row.imag.any() for row in rows):
         sym, rows = sym.real, [row.real for row in rows]
     # order 0 seeds the sum; adding 0.0 turns -0.0 into 0.0, as a sum started from zero does
@@ -371,31 +390,16 @@ def _finite_section_entries(spec: DiffOpSpec, w: BandWindow) -> np.ndarray:
     return entries
 
 
-def _interpolate_columns(samples: np.ndarray, w: BandWindow) -> np.ndarray:
-    """Interpolate each column of an (N, ncols) sample matrix onto the window."""
-    f = np.fft.fft(samples, axis=0) / w.N
-    return f[w.modes() % w.N, :]
-
-
 def assemble_collocation_ode(spec: DiffOpSpec, w: BandWindow) -> OperatorMatrix:
-    """Collocation compression: samples of the variable part are re-interpolated.
+    """Collocation compression: the variable part multiplied on the N-point grid and
+    interpolated back.
 
-    The variable part is applied to each basis mode, sampled on the N-point
-    grid, and interpolated back; the constant part stays diagonal because
-    interpolation agrees with truncation on the window itself.  When a
-    coefficient has modes beyond the window, the columns differ from the
-    finite-section matrix by aliased wrap-around.
+    That is the finite-section assembly with each coefficient folded mod N:
+    entry (r, c) reads a_j's folded slot (m_r - m_c) mod N.  The constant
+    part stays diagonal because interpolation agrees with truncation on the
+    window itself; a coefficient with modes beyond the window aliases in.
     """
-    modes = w.modes()
-    diag = np.diag(spec.symbol(modes))
-    if not spec.var_coeffs:
-        return OperatorMatrix(w, diag)
-    grids = np.stack([evaluate_on_grid(a, w.N) for a in spec.var_coeffs], axis=1)
-    powers = (1j * modes[None, :]) ** np.arange(len(spec.var_coeffs))[:, None]
-    pointwise = grids @ powers  # (N, N): column m holds sum_j a_j(x) (i m)^j
-    phases = np.exp(1j * np.outer(w.grid(), modes))
-    cols = _interpolate_columns(pointwise * phases, w)
-    return OperatorMatrix(w, diag + cols)
+    return OperatorMatrix(w, _compression_entries(spec, w, "collocation"))
 
 
 def assemble_sie(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") -> OperatorMatrix:
@@ -406,16 +410,9 @@ def assemble_sie(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") ->
     N-point grid and interpolates back, so out-of-window products fold in.
     """
     check_mode(mode)
-    modes = w.modes()
-    h = jump._perturbations[0]
+    neg = w.modes() < 0
     entries = np.eye(w.N, dtype=complex)
-    neg = modes < 0
-    if mode == "finite_section":
-        entries[:, neg] += _toeplitz_entries(h, w)[:, neg]
-    else:
-        hvals = evaluate_on_grid(h, w.N)
-        phases = np.exp(1j * np.outer(w.grid(), modes[neg]))
-        entries[:, neg] += _interpolate_columns(hvals[:, None] * phases, w)
+    entries[:, neg] += _toeplitz_entries(jump._perturbations[0], w, mode)[:, neg]
     return OperatorMatrix(w, entries)
 
 

@@ -14,7 +14,7 @@ eps*(|lambda| + coupling), which is what makes double-precision
 convergence studies readable below 1e-10.
 
 The eigensolve works in the field the compression is assembled in, and
-only operators._finite_section_entries chooses it: float64 when the
+only operators._compression_entries chooses it: float64 when the
 variable part has order 0 with real coefficients and the symbol is real,
 as both shipped operators have, complex otherwise, even when the summed
 imaginary part is zero.  A real symmetric eigensolve costs about a quarter
@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fourier import BandWindow, sobolev_weights
-from .operators import DiffOpSpec, _finite_section_entries, _symbol_reach, assemble_finite_section_ode
+from .operators import DiffOpSpec, _compression_entries, _symbol_reach, assemble_finite_section_ode
 
 __all__ = [
     "EigenReport",
@@ -115,11 +115,11 @@ def _eigensolve(spec: DiffOpSpec, w: BandWindow) -> tuple[EigenReport, tuple, np
     Returns the report, the eigenvectors of each block (one block, or the
     even and the odd one), and the order that sorts their concatenated
     eigenvalues.  The compression is solved in the field
-    _finite_section_entries assembles it in.  The Hermitian check compares
+    _compression_entries assembles it in.  The Hermitian check compares
     64-row blocks of A with the matching columns of A^H, so it forms no
     N x N temporary.
     """
-    a = _finite_section_entries(spec, w)
+    a = _compression_entries(spec, w)
     scale = max(1.0, float(np.abs(a).max()))
     asym = max(float(np.abs(a[i:i + 64] - a[:, i:i + 64].conj().T).max()) for i in range(0, w.N, 64))
     if asym > 1e-12 * scale:
@@ -213,12 +213,15 @@ def eigen_distances(test: EigenReport, reference: EigenReport) -> EigenDistances
 def cluster_multiplicities(report: EigenReport, centers, delta: float) -> np.ndarray:
     """Count eigenvalues within delta of each center.
 
-    Centers must be pairwise separated by more than 3*delta so the clusters
-    cannot overlap; violations are rejected.
+    Centers must be finite and pairwise separated by more than 3*delta, a
+    finite positive radius, so the clusters cannot overlap; violations are
+    rejected.
     """
     centers = np.asarray(centers, dtype=float)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("cluster centers must be finite")
     if len(centers) > 1:
         diffs = np.abs(centers[:, None] - centers[None, :])
         np.fill_diagonal(diffs, np.inf)

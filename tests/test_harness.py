@@ -53,6 +53,17 @@ class TestFitSlope:
         rows = [(10, 1e-2), (100, 1e-4), (1000, 1e-15)]
         assert fit_slope(rows) == pytest.approx(-2.0)
 
+    @pytest.mark.parametrize("rows, match", [
+        ([(10, 1e-3), (10, 2e-3)], "need at least 2 rows at distinct N"),
+        ([(0, 1e-3), (10, 2e-3)], "N must be positive and finite"),
+        ([(10, float("inf")), (20, 1e-3)], "the error finite"),
+        ([(10, float("nan")), (20, 1e-3), (40, 1e-4)], "the error finite"),
+    ], ids=["one-distinct-N", "zero-N", "infinite-error", "nan-error"])
+    def test_rejects_degenerate_rows(self, rows, match, capfd):
+        with pytest.raises(ValueError, match=match):
+            fit_slope(rows)
+        assert capfd.readouterr().err == ""
+
 
 class TestExperimentConfig:
     def test_defaults_fill_in(self):

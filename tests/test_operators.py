@@ -25,8 +25,8 @@ from circspec import (
     sie_regulator,
     synth_powerlaw,
 )
-from circspec.operators import OperatorMatrix, _finite_section_entries, _symbol_reach, _toeplitz_entries
-from circspec.problems import rhp_jump, second_order_operator, third_order_operator
+from circspec.operators import OperatorMatrix, _compression_entries, _symbol_reach, _toeplitz_entries
+from circspec.problems import rhp_jump, second_order_operator, third_order_ode, third_order_operator
 
 from oracles import apply_diff_op, dft_matrices, grid_multiply, random_coeffvec
 
@@ -202,14 +202,21 @@ class TestFiniteSectionOde:
             assert np.abs(left - right).max() <= 1e-11
 
 
-def entrywise_finite_section(spec: DiffOpSpec, w: BandWindow) -> np.ndarray:
-    """Entry (r, c) = sum_j a_j.get(m_r - m_c) (i m_c)^j + delta_rc symbol(m_r), one entry at a time."""
+def entrywise_finite_section(spec: DiffOpSpec, w: BandWindow, mode: str = "finite_section") -> np.ndarray:
+    """Entry (r, c) = sum_j a_j(m_r - m_c) (i m_c)^j + delta_rc symbol(m_r), one entry at a time.
+
+    a_j(d) is a_j.get(d) for the finite section and a_j.folded(N)[d % N] for collocation.
+    """
     m = w.modes()
     sym = spec.symbol(m)
+    if mode == "finite_section":
+        entry = [a.get for a in spec.var_coeffs]
+    else:
+        entry = [lambda d, f=a.folded(w.N): f[d % w.N] for a in spec.var_coeffs]
     out = np.zeros((w.N, w.N), dtype=complex)
     for r in range(w.N):
         for c in range(w.N):
-            v = sum(a.get(m[r] - m[c]) * (1j * m[c]) ** j for j, a in enumerate(spec.var_coeffs))
+            v = sum(a(m[r] - m[c]) * (1j * m[c]) ** j for j, a in enumerate(entry))
             out[r, c] = v + sym[r] if r == c else v
     return out
 
@@ -222,7 +229,7 @@ class TestFiniteSectionField:
     def test_shipped_spectrum_operators_assemble_real(self, build, n):
         spec = build(2.51, 17)
         w = BandWindow(n)
-        entries = _finite_section_entries(spec, w)
+        entries = _compression_entries(spec, w)
         assert entries.dtype == np.float64
         assert np.array_equal(entries, entrywise_finite_section(spec, w))
         public = assemble_finite_section_ode(spec, w).entries
@@ -238,11 +245,11 @@ class TestFiniteSectionField:
         summed = np.zeros((w.N, w.N), dtype=complex)
         summed += _toeplitz_entries(spec.var_coeffs[0], w)
         summed[np.diag_indices(w.N)] += spec.symbol(w.modes())
-        assert _finite_section_entries(spec, w).tobytes() == np.ascontiguousarray(summed.real).tobytes()
+        assert _compression_entries(spec, w).tobytes() == np.ascontiguousarray(summed.real).tobytes()
 
     def test_constant_operator_assembles_real(self):
         spec = DiffOpSpec.from_orders({2: -1.0, 0: 2.75})
-        entries = _finite_section_entries(spec, BandWindow(9))
+        entries = _compression_entries(spec, BandWindow(9))
         assert entries.dtype == np.float64
         assert np.array_equal(entries, np.diag(BandWindow(9).modes() ** 2 + 2.75))
 
@@ -259,13 +266,26 @@ class TestFiniteSectionField:
             "first-order-complex", "first-order-real"])
     def test_complex_compressions_stay_complex(self, spec):
         w = BandWindow(9)
-        entries = _finite_section_entries(spec, w)
+        entries = _compression_entries(spec, w)
         assert entries.dtype == np.complex128
         assert np.array_equal(entries, entrywise_finite_section(spec, w))
         assert np.array_equal(assemble_finite_section_ode(spec, w).entries, entries)
 
 
 class TestCollocationOde:
+    @pytest.mark.parametrize("spec", [
+        second_order_operator(2.51, 17),
+        third_order_operator(2.51, 17),
+        third_order_ode(1.51, 17)[0],
+        DiffOpSpec.from_orders({3: -1.0, 2: 0.7j}, var=(CoeffVec.from_dict({-11: 0.4, 0: 1.0 + 0.2j, 7: -0.3}),
+                                                         CoeffVec.from_dict({-5: 0.5j, 1: 0.25, 9: -0.1j}))),
+    ], ids=["spectrum2", "spectrum3", "ode3", "first-order-complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17])
+    def test_entries_are_the_folded_coefficients(self, spec, n):
+        # collocation is the finite section of the coefficients folded mod N, entry for entry
+        w = BandWindow(n)
+        assert np.array_equal(assemble_collocation_ode(spec, w).entries, entrywise_finite_section(spec, w, "collocation"))
+
     def test_constant_coefficient_matches_finite_section(self):
         spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.5}),))
         w = BandWindow(16)
@@ -318,6 +338,21 @@ class TestCollocationOde:
 
 
 class TestSie:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17])
+    def test_collocation_entries_are_the_folded_coefficients(self, n):
+        # entry (r, c) = delta_rc + [m_c < 0] (g-1).folded(N)[(m_r - m_c) % N]
+        g = rhp_jump(1.51, 0.5, 17).g
+        gm1 = CoeffVec(g.j_min, g.coeffs - np.asarray(CoeffVec.from_dict({0: 1.0}).get(g.modes())))
+        f = gm1.folded(n)
+        w = BandWindow(n)
+        m = w.modes()
+        expected = np.eye(n, dtype=complex)
+        for r in range(n):
+            for c in range(n):
+                if m[c] < 0:
+                    expected[r, c] += f[(m[r] - m[c]) % n]
+        assert np.array_equal(assemble_sie(JumpSpec(g), w, "collocation").entries, expected)
+
     def test_unit_jump_gives_identity(self):
         jump = JumpSpec(CoeffVec.from_dict({0: 1.0}))
         w = BandWindow(10)

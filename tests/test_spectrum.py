@@ -281,6 +281,17 @@ class TestClusterMultiplicities:
         with pytest.raises(ValueError, match="separation"):
             cluster_multiplicities(rep, [0.0, 0.2], 0.1)
 
+    @pytest.mark.parametrize("centers, delta, match", [
+        ([0.0, 1.0], float("nan"), "delta must be finite and positive"),
+        ([0.0, 1.0], float("inf"), "delta must be finite and positive"),
+        ([0.0, 1.0], 0.0, "delta must be finite and positive"),
+        ([float("nan"), 1.0], 0.1, "centers must be finite"),
+    ], ids=["nan-delta", "inf-delta", "zero-delta", "nan-center"])
+    def test_rejects_non_finite_or_non_positive_inputs(self, centers, delta, match):
+        rep = eigenvalues_self_adjoint(DiffOpSpec.from_orders({2: -1.0}), BandWindow(9))
+        with pytest.raises(ValueError, match=match):
+            cluster_multiplicities(rep, centers, delta)
+
 
 class TestResolventNormGrid:
     def test_diagonal_closed_form(self):
