@@ -5,14 +5,22 @@ passed as the product y -> R y, it runs GMRES (Saad & Schultz 1986) on
 A R y = f, gates the condition estimate of A R and returns x = R y.  For
 the operators solved here A R is the identity plus a compact operator, so
 its condition and the iteration count stay flat as the window grows.
-GMRES keeps k + 1 basis vectors after k steps, so a solve's memory is
-O(steps N): the workspace starts at FIRST_STEPS steps and doubles when full.
+
+The right-hand side may be a (B, n) stack of independent systems whose
+products act row by row.  They are solved in lockstep: each step applies
+one product to the stack and runs one stacked Gram-Schmidt pass and one
+normalisation, while every row keeps its own scaling, Givens recurrence
+(on Python scalars), stopping test, condition gate, residual check and
+refinement.  A row that has converged is frozen: its basis vectors are
+zero from then on.  GMRES keeps k + 1 basis vectors per row after k steps,
+so a solve's memory is O(steps B n): the workspace starts at FIRST_STEPS
+steps and doubles when full.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,122 +43,163 @@ class SolveError(RuntimeError):
 
 def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
                   regulator: Callable[[np.ndarray], np.ndarray] | None = None,
-                  cond_cap: float = 1e12, context: str = "linear solve") -> np.ndarray:
+                  cond_cap: float = 1e12, context: str | Sequence[str] = "linear solve") -> np.ndarray:
     """Solve apply(x) = rhs by GMRES on apply(R y) = rhs; return x = R y.
 
-    regulator is the product y -> R y; None stands for the identity.  The
-    condition estimate is sigma_max / sigma_min of the Arnoldi Hessenberg
-    matrix of the regulated operator x -> apply(R x), gated against cond_cap.
+    rhs is one right-hand side of shape (n,) or a (B, n) stack of them;
+    apply and regulator map arrays of rhs's shape to arrays of that shape,
+    row by row.  regulator is the product y -> R y; None stands for the
+    identity.  context names the solve in errors: one string, or one per
+    row of a stack.  The condition estimate of a row is sigma_max /
+    sigma_min of its Arnoldi Hessenberg matrix of the regulated operator
+    x -> apply(R x), gated against cond_cap.
 
-    GMRES stops when its residual estimate falls below GMRES_TOL relative
-    to the right-hand side, or after min(N, MAX_ITER) iterations.  When the
-    estimate was met but the true residual exceeds 1e-10 relative to the
-    right-hand side, one more GMRES pass solves for the residual and corrects
-    x (iterative refinement).  Raises SolveError naming the condition
-    estimate when it exceeds cond_cap, when the true residual then still
-    exceeds 1e-10 relative to the right-hand side, and when the right-hand
-    side or the operator's output is not finite.  A zero right-hand side
-    returns zero without iterating.
+    GMRES stops a row when its residual estimate falls below GMRES_TOL
+    relative to its right-hand side, or after min(n, MAX_ITER) iterations.
+    When the estimate was met but the true residual exceeds 1e-10 relative
+    to the right-hand side, one more GMRES pass solves for the residual and
+    corrects x (iterative refinement).  Raises SolveError naming the
+    condition estimate when it exceeds cond_cap, when the true residual then
+    still exceeds 1e-10 relative to the right-hand side, and when the
+    right-hand side or the operator's output is not finite; in a stack the
+    first row that fails a check raises.  A zero right-hand side, or zero
+    row, is solved by zero without iterating.
     """
-    rhs = np.ascontiguousarray(rhs, dtype=complex)
-    top = float(np.abs(rhs.view(float)).max(initial=0.0))
-    if top == 0.0:
-        return np.zeros(rhs.size, dtype=complex)
-    if not math.isfinite(top):
-        raise SolveError(f"{context}: right-hand side is not finite")
-    # solve for rhs 2^-e, whose largest part is in [1/2, 1): exact, and its norm cannot under/overflow
-    e = math.frexp(top)[1]
-    rhs = np.ldexp(rhs.view(float), -e).view(complex)
-    beta = float(np.linalg.norm(rhs))
-    regulate = regulator if regulator is not None else (lambda y: y)
+    shape = np.shape(rhs)
+    rows = np.ascontiguousarray(rhs, dtype=complex).reshape(-1, shape[-1])
+    contexts = [context] * len(rows) if isinstance(context, str) else list(context)
+    tops = np.abs(rows.view(float)).max(axis=1, initial=0.0).tolist()
+    if not any(tops):
+        return np.zeros(shape, dtype=complex)
+    for top, where in zip(tops, contexts):
+        if not math.isfinite(top):
+            raise SolveError(f"{where}: right-hand side is not finite")
+    # solve for each row times 2^-e, whose largest part is in [1/2, 1): exact, and its norm
+    # cannot under/overflow; a zero row keeps e = 0
+    e = np.array([math.frexp(top)[1] for top in tops], dtype=np.intc)[:, None]
+    rows = np.ldexp(rows.view(float), -e).view(complex)
+    beta = _norms(rows)
+
+    def on_rows(f):
+        # GMRES works on (B, n) stacks: a single right-hand side is a stack of one
+        return f if len(shape) == 2 else (lambda x: f(x[0])[None])
+
+    product = on_rows(apply)
+    reg = on_rows(regulator) if regulator is not None else (lambda y: y)
 
     def op(y):
-        return apply(regulate(y))
+        return product(reg(y))
 
-    y, cond, steps, met = _gmres(op, rhs, beta, context)
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise SolveError(
-            f"{context}: condition estimate {cond:.3e} exceeds cap {cond_cap:.1e} "
-            "(operator not invertible at this truncation, or truncation too small)"
-        )
-    x = regulate(y)
-    r = rhs - apply(x)
-    resid = float(np.linalg.norm(r))
-    if resid > RESID_TOL * beta and met:
-        dy, _, more, _ = _gmres(op, r, resid, context)
-        if dy is not None:
-            x = x + regulate(dy)
-            resid = float(np.linalg.norm(apply(x) - rhs))
-        steps += more
-    if resid > RESID_TOL * beta:
-        raise SolveError(
-            f"{context}: residual {resid:.3e} exceeds 1e-10 of the right-hand side "
-            f"after {steps} GMRES iterations"
-        )
-    return np.ldexp(x.view(float), e).view(complex)
+    y, cond, steps, met = _gmres(op, rows, beta, contexts)
+    for c, where in zip(cond, contexts):
+        if not math.isfinite(c) or c > cond_cap:
+            raise SolveError(
+                f"{where}: condition estimate {c:.3e} exceeds cap {cond_cap:.1e} "
+                "(operator not invertible at this truncation, or truncation too small)"
+            )
+    x = reg(y)
+    r = rows - product(x)
+    resid = _norms(r)
+    refine = [rb > RESID_TOL * bb and mb for rb, bb, mb in zip(resid, beta, met)]
+    if any(refine):
+        # rows that need no refinement enter with beta 0, so they take no step and add zero
+        dy, _, more, _ = _gmres(op, r, [rb if fb else 0.0 for rb, fb in zip(resid, refine)], contexts)
+        x = x + reg(dy)
+        resid = _norms(product(x) - rows)
+        steps = [s + m for s, m in zip(steps, more)]
+    for rb, bb, s, where in zip(resid, beta, steps, contexts):
+        if rb > RESID_TOL * bb:
+            raise SolveError(
+                f"{where}: residual {rb:.3e} exceeds 1e-10 of the right-hand side "
+                f"after {s} GMRES iterations"
+            )
+    return np.ldexp(x.view(float), e).view(complex).reshape(shape)
 
 
-def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: float,
-           context: str) -> tuple[np.ndarray | None, float, int, bool]:
-    """GMRES on op(y) = rhs from y = 0, with beta = |rhs|.
+def _norms(rows: np.ndarray) -> list[float]:
+    """Euclidean norm of each row of a (B, n) stack."""
+    return np.sqrt(np.vecdot(rows, rows).real).tolist()
 
-    Returns (y, sigma_max / sigma_min of the Hessenberg matrix, Arnoldi
-    steps, whether the residual estimate fell below GMRES_TOL beta).  y is
-    None and the ratio inf when the Hessenberg matrix is singular.
+
+def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[float],
+           context: list[str]) -> tuple[np.ndarray, list[float], list[int], list[bool]]:
+    """GMRES on op(y) = rhs from y = 0 for a (B, n) stack, with beta[b] = |rhs[b]|.
+
+    Returns y and, per row, sigma_max / sigma_min of the Hessenberg matrix,
+    the Arnoldi steps and whether the residual estimate fell below
+    GMRES_TOL beta.  A row whose Hessenberg matrix is singular gets y = 0
+    and ratio inf; a row with beta 0 takes no step and gets y = 0 and ratio 1.
     """
-    n = rhs.size
+    count, n = rhs.shape
     m = min(n, MAX_ITER)
     cap = min(m, FIRST_STEPS)
-    basis = np.empty((cap + 1, n), dtype=complex)
-    hess = np.zeros((cap + 1, cap), dtype=complex)
-    # Givens rotations that triangularise hess, and the rotated beta e_1; its
-    # last entry is the GMRES residual at the current step
-    rotations = []
-    g = [complex(beta)]
-    basis[0] = rhs / beta
-    met = False
+    basis = np.empty((count, cap + 1, n), dtype=complex)
+    # per row: the columns of the Hessenberg matrix, the Givens rotations that
+    # triangularise it, and the rotated beta e_1, whose last entry is the GMRES
+    # residual at the current step
+    columns = [[] for _ in range(count)]
+    rotations = [[] for _ in range(count)]
+    g = [[complex(b)] for b in beta]
+    met = [b == 0.0 for b in beta]
+    live = [i for i in range(count) if not met[i]]
+    basis[:, 0] = rhs * np.array([0.0 if b == 0.0 else 1.0 / b for b in beta], dtype=complex)[:, None]
     for k in range(m):
+        if not live:
+            break
         if k == cap:
             # the workspace is full: double it, keeping the filled part
             cap = min(2 * cap, m)
-            basis = np.concatenate((basis, np.empty((cap - k, n), dtype=complex)))
-            hess = np.pad(hess, ((0, cap - k), (0, cap - k)))
-        w = op(basis[k])
+            basis = np.concatenate((basis, np.empty((count, cap - k, n), dtype=complex)), axis=1)
+        w = op(basis[:, k])
         # classical Gram-Schmidt, run twice to keep the basis orthogonal to working
-        # precision; conj(V) w is formed as conj(conj(w) V^T), which conjugates
-        # one vector instead of copying the basis
-        v = basis[:k + 1]
-        h = (w.conj() @ v.T).conj()
-        w = w - h @ v
-        again = (w.conj() @ v.T).conj()
-        w -= again @ v
+        # precision, as stacked products: vecdot forms conj(V) w and matvec V^T h row by row
+        v = basis[:, :k + 1]
+        vt = v.transpose(0, 2, 1)
+        h = np.vecdot(v, w[:, None])
+        w = w - np.matvec(vt, h)
+        again = np.vecdot(v, w[:, None])
+        w -= np.matvec(vt, again)
         h += again
-        hn = math.sqrt(np.vdot(w, w).real)
-        if not math.isfinite(hn):
-            raise SolveError(f"{context}: operator is not finite")
-        hess[:k + 1, k] = h
-        hess[k + 1, k] = hn
-        col = h.tolist()
-        for i, (c, s) in enumerate(rotations):
-            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s.conjugate() * col[i]
-        a = col[k]
-        r = math.hypot(abs(a), hn)
-        if a == 0.0:
-            c, s, col[k] = 0.0, 1.0 + 0j, complex(hn)
-        else:
-            phase = a / abs(a)
-            c, s, col[k] = abs(a) / r, phase * hn / r, phase * r
-        rotations.append((c, s))
-        g.append(-s.conjugate() * g[k])
-        g[k] = c * g[k]
-        met = abs(g[k + 1]) <= GMRES_TOL * beta or hn == 0.0
-        if met:
-            break
-        basis[k + 1] = w / hn
-    steps = len(rotations)
-    left, sigma, right = np.linalg.svd(hess[:steps + 1, :steps], full_matrices=False)
-    if sigma[-1] == 0.0:
-        return None, np.inf, steps, met
-    # least-squares minimiser of |beta e_1 - hess y|, in the Krylov basis
-    y = right.conj().T @ (beta * left[0].conj() / sigma)
-    return y @ basis[:steps], float(sigma[0] / sigma[-1]), steps, met
+        cols, hn = h.tolist(), np.vecdot(w, w).real.tolist()
+        scale = [0.0] * count
+        for i in live[:]:
+            if not math.isfinite(hn[i]):
+                raise SolveError(f"{context[i]}: operator is not finite")
+            hn[i] = math.sqrt(hn[i])
+            col, gi, rot = cols[i], g[i], rotations[i]
+            columns[i].append(col + [hn[i]])
+            for j, (c, s) in enumerate(rot):
+                col[j], col[j + 1] = c * col[j] + s * col[j + 1], c * col[j + 1] - s.conjugate() * col[j]
+            a = col[k]
+            r = math.hypot(abs(a), hn[i])
+            if a == 0.0:
+                c, s = 0.0, 1.0 + 0j
+            else:
+                phase = a / abs(a)
+                c, s = abs(a) / r, phase * hn[i] / r
+            rot.append((c, s))
+            gi.append(-s.conjugate() * gi[k])
+            gi[k] = c * gi[k]
+            if abs(gi[k + 1]) <= GMRES_TOL * beta[i] or hn[i] == 0.0:
+                met[i] = True
+                live.remove(i)
+            else:
+                scale[i] = 1.0 / hn[i]
+        if live:
+            np.multiply(w, np.array(scale, dtype=complex)[:, None], out=basis[:, k + 1])
+    steps = [len(rot) for rot in rotations]
+    y = np.zeros((count, n), dtype=complex)
+    cond = [1.0] * count
+    for k in set(steps) - {0}:
+        # one SVD for the rows that took k steps
+        rows = [i for i in range(count) if steps[i] == k]
+        hess = np.array([[c + [0j] * (k - len(c) + 1) for c in columns[i]] for i in rows]).transpose(0, 2, 1)
+        left, sigma, right = np.linalg.svd(hess, full_matrices=False)
+        for i, lf, sg, rt, values in zip(rows, left, sigma, right, sigma.tolist()):
+            if values[-1] == 0.0:
+                cond[i] = math.inf
+                continue
+            # least-squares minimiser of |beta e_1 - hess y|, in the Krylov basis
+            y[i] = (rt.conj().T @ (beta[i] * lf[0].conj() / sg)) @ basis[i, :k]
+            cond[i] = values[0] / values[-1]
+    return y, cond, steps, met

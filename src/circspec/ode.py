@@ -6,8 +6,10 @@ applies the compression matrix-free and solves by GMRES, right-regulated so
 that the operator becomes identity plus compact.  Every operator, with or
 without a variable part, takes that one path, with the regulator from
 operators.ode_regulator and the gate on the regulated operator's condition.
-exact_constant_solve is the diagonal oracle for operators without a
-variable part.
+solve_ode_windows solves several windows that share a circulant length in
+one GMRES on their stack, each row on its own window; solve_ode is it on one
+window.  exact_constant_solve is the diagonal oracle for operators without
+a variable part.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
 from .linsolve import GMRES_TOL, SolveError, solve_checked
-from .operators import DiffOpSpec, check_mode, ode_matvec, ode_regulator
+from .operators import DiffOpSpec, check_mode, ode_matvec, ode_regulator, window_slots
 # not called here: bench/spans.py times the dense assemblers where this module looks them up
 from .operators import assemble_collocation_ode, assemble_finite_section_ode  # noqa: F401
 
-__all__ = ["solve_ode", "exact_constant_solve", "SolveError"]
+__all__ = ["solve_ode", "solve_ode_windows", "exact_constant_solve", "SolveError"]
 
 
 def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
@@ -36,23 +38,41 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
     estimate (see solve_checked).  An operator without a variable part is
     diagonal: a mode where its symbol vanishes is solvable iff the data
     there is below GMRES_TOL |rhs|, collocation's roundoff, and then
-    carries zero.
+    carries zero.  This is solve_ode_windows on the one window.
+    """
+    return solve_ode_windows(spec, f, [w], mode, cond_cap)[0]
+
+
+def solve_ode_windows(spec: DiffOpSpec, f: CoeffVec, windows, mode: str = "finite_section",
+                      cond_cap: float = 1e12) -> list[CoeffVec]:
+    """solve_ode on each window, as one regulated GMRES on the windows' (B, N) stack.
+
+    The windows must share one circulant length (operators.circulant_length);
+    each row is solved, checked and gated on its own window, and the first
+    window that fails raises, naming its N.
     """
     check_mode(mode)
-    if mode == "finite_section":
-        rhs = project(f, w).coeffs
-    else:
-        rhs = interpolate(evaluate_on_grid(f, w.N)).coeffs
-    context = f"{mode} solve at N={w.N}"
-    if not spec.has_variable_part():
-        hit = (spec.symbol(w.modes()) == 0.0) & (np.abs(rhs) > GMRES_TOL * np.linalg.norm(rhs))
-        if np.any(hit):
-            m = int(w.modes()[np.argmax(hit)])
-            raise SolveError(
-                f"{context}: condition estimate inf (symbol vanishes at mode {m} with nonzero data)"
-            )
-    x = solve_checked(ode_matvec(spec, w, mode), rhs, ode_regulator(spec, w), cond_cap=cond_cap, context=context)
-    return CoeffVec(-w.n_minus, x)
+    big, slots = window_slots(windows)
+    rhs = np.zeros((len(windows), big.N), dtype=complex)
+    contexts = [f"{mode} solve at N={w.N}" for w in windows]
+    diagonal = not spec.has_variable_part()
+    for row, s, w, context in zip(rhs, slots, windows, contexts):
+        if mode == "finite_section":
+            data = project(f, w).coeffs
+        else:
+            data = interpolate(evaluate_on_grid(f, w.N)).coeffs
+        if diagonal:
+            hit = (spec.symbol(w.modes()) == 0.0) & (np.abs(data) > GMRES_TOL * np.linalg.norm(data))
+            if np.any(hit):
+                m = int(w.modes()[np.argmax(hit)])
+                raise SolveError(
+                    f"{context}: condition estimate inf (symbol vanishes at mode {m} with nonzero data)"
+                )
+        row[s] = data
+    # one window is solved as a vector, on the products' cheaper one-window path
+    x = solve_checked(ode_matvec(spec, windows, mode), rhs if len(windows) > 1 else rhs[0],
+                      ode_regulator(spec, windows), cond_cap=cond_cap, context=contexts).reshape(rhs.shape)
+    return [CoeffVec(-w.n_minus, row[s]) for row, s, w in zip(x, slots, windows)]
 
 
 def exact_constant_solve(spec: DiffOpSpec, f: CoeffVec) -> CoeffVec:

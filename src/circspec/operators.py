@@ -4,7 +4,10 @@ The solvers apply the finite-section / collocation compressions of the
 differential operators and of the singular-integral operator matrix-free
 (ode_matvec, sie_matvec) through one circulant product, O(N) storage and
 O(N log N) work: a collocation product is the circulant of the coefficients
-folded mod N, a finite-section product embeds the Toeplitz matrix.
+folded mod N, a finite-section product embeds the Toeplitz matrix.  The
+products and regulators also act on a group of windows that share a
+circulant_length: a (B, N) stack laid out by window_slots on the modes of
+the largest window, each row masked back to its own window.
 
 ode_regulator and sie_regulator are the solvers' right regulators, each
 returned as the product y -> R y.  ode_regulator is the only code that
@@ -36,11 +39,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, sobolev_weights
+
+# one window, or a group of windows whose products act on their (B, N) stack (see window_slots)
+Window = BandWindow | Sequence[BandWindow]
 
 __all__ = [
     "DiffOpSpec",
@@ -60,6 +66,8 @@ __all__ = [
     "ode_matvec",
     "sie_matvec",
     "sie_regulator",
+    "circulant_length",
+    "window_slots",
 ]
 
 MODES = ("finite_section", "collocation")
@@ -330,22 +338,28 @@ def _regulator_diagonal(sym: np.ndarray, zeta: complex, w: BandWindow) -> np.nda
     return 1.0 / gaps
 
 
-def ode_regulator(spec: DiffOpSpec, w: BandWindow) -> Callable[[np.ndarray], np.ndarray]:
+def ode_regulator(spec: DiffOpSpec, w: Window) -> Callable[[np.ndarray], np.ndarray]:
     """Two-level right regulator of the compressed ODE on w, as the product y -> R y.
 
     R is the diagonal (L0 - zeta)^(-1), except on the modes |m| <= LOW_MODES
-    when w holds them and spec._low_regulator has a block: there it is the
-    inverse of the finite-section compression on those modes.
+    of a window that holds them when spec._low_regulator has a block: there
+    it is the inverse of the finite-section compression on those modes.  w
+    is one window or a group of them (see window_slots), whose rows are
+    regulated each on its own window.
     """
     zeta, inverse = spec._low_regulator
-    reg = _regulator_diagonal(spec.symbol(w.modes()), zeta, w)
-    if inverse is None or w.N < 2 * LOW_MODES + 1:
+    big, windows, _ = _group(w)
+    reg = _regulator_diagonal(spec.symbol(big.modes()), zeta, big)
+    low = [v.N >= 2 * LOW_MODES + 1 for v in windows]
+    if inverse is None or not any(low):
         return lambda y: reg * y
-    slots = slice(w.n_minus - LOW_MODES, w.n_minus + LOW_MODES + 1)
+    slots = slice(big.n_minus - LOW_MODES, big.n_minus + LOW_MODES + 1)
+    # every row, or the rows whose windows hold the low modes
+    rows = Ellipsis if all(low) else np.flatnonzero(low)
 
     def regulate(y):
         x = reg * y
-        x[slots] = inverse @ y[slots]
+        x[rows, slots] = np.matvec(inverse, y[rows, slots])
         return x
     return regulate
 
@@ -416,57 +430,116 @@ def assemble_sie(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") ->
     return OperatorMatrix(w, entries)
 
 
-def _multiplication(coeffs: tuple, w: BandWindow, mode: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Matrix-free v -> sum_j compress(a_j v_j) for a (len(coeffs), N) stack v.
-
-    Both compressions are one circulant product, one batched FFT each way.
-    finite_section embeds each Toeplitz matrix of a_j's modes -(N-1)..N-1 in
-    a circulant of power-of-two length >= 2N-1 (Chan & Ng, SIAM Rev. 1996);
-    collocation is the N x N circulant of all of a_j's modes folded mod N,
-    which equals multiplying on the N-point grid and interpolating back.
-    """
+def circulant_length(n: int, mode: str) -> int:
+    """Length of the circulant that applies an n-mode compression: the power of two
+    >= 2n - 1 that embeds the finite section, n for collocation."""
     check_mode(mode)
-    n = w.N
-    size = n
+    return 1 << (2 * n - 2).bit_length() if mode == "finite_section" else n
+
+
+def window_slots(windows) -> tuple[BandWindow, list[slice]]:
+    """Layout of a group of windows as a (B, N) stack: the largest window, and each window's slots.
+
+    The stack follows the modes of the largest window, whose slot i holds
+    mode i - n_minus, and row b holds window b's modes on its slots and zero
+    elsewhere.  Every smaller window's modes lie inside the largest's.
+    """
+    big = max(windows, key=lambda v: v.N)
+    return big, [slice(big.n_minus - v.n_minus, big.n_minus + v.n_plus + 1) for v in windows]
+
+
+def _group(w: Window) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray | None]:
+    """(largest window, the windows, (B, N) mask of each row's slots) for a window or group.
+
+    The mask is None when every window is the largest, so nothing spills
+    off a row's window.
+    """
+    windows = (w,) if isinstance(w, BandWindow) else tuple(w)
+    if len(windows) == 1:
+        return windows[0], windows, None
+    big, slots = window_slots(windows)
+    if all(v.N == big.N for v in windows):
+        return big, windows, None
+    # complex, so that masking a product casts nothing
+    mask = np.zeros((len(windows), big.N), dtype=complex)
+    for row, s in zip(mask, slots):
+        row[s] = 1.0
+    return big, windows, mask
+
+
+def _multiplication(coeffs: tuple, w: Window, mode: str) -> tuple[BandWindow, Callable[[np.ndarray], np.ndarray]]:
+    """The largest window of w, and the matrix-free v -> sum_j compress(a_j v_j) for a
+    (..., len(coeffs), N) stack v on its modes.
+
+    Both compressions are one circulant product, one batched FFT each way,
+    of length circulant_length.  finite_section embeds each Toeplitz matrix
+    of a_j's modes -(N-1)..N-1 in a circulant of power-of-two length
+    >= 2N-1 (Chan & Ng, SIAM Rev. 1996); collocation is the N x N circulant
+    of all of a_j's modes folded mod N, which equals multiplying on the
+    N-point grid and interpolating back.  w is one window or a group that
+    shares one circulant length; a group's rows take the largest window's
+    product, masked back to their own windows.
+    """
+    big, windows, mask = _group(w)
+    n = big.N
+    size = circulant_length(n, mode)
+    if len(windows) > 1 and any(circulant_length(v.N, mode) != size for v in windows):
+        raise ValueError(f"a group's windows must share one {mode} circulant length")
     if mode == "finite_section":
-        size = 1 << (2 * n - 2).bit_length()
         coeffs = [a.windowed(1 - n, n - 1) for a in coeffs]
     cols = np.array([a.folded(size) for a in coeffs], dtype=complex).reshape(len(coeffs), size)
     symbols = np.fft.fft(cols, axis=1)
-    # window slot i holds mode i - n_minus; a circulant depends only on slot differences
-    return lambda v: np.fft.ifft((symbols * np.fft.fft(v, size, axis=1)).sum(axis=0))[:n]
+
+    def product(v):
+        spectra = np.fft.fft(v, size)
+        spectra *= symbols
+        total = spectra[..., 0, :] if len(symbols) == 1 else spectra.sum(axis=-2)
+        # window slot i holds mode i - n_minus; a circulant depends only on slot differences
+        out = np.fft.ifft(total, out=total)[..., :n]
+        return out if mask is None else mask * out
+    return big, product
 
 
-def ode_matvec(spec: DiffOpSpec, w: BandWindow, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
+def ode_matvec(spec: DiffOpSpec, w: Window, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free x -> A x for the matrix A that assemble_finite_section_ode or
-    assemble_collocation_ode builds: sym x + sum_j compress(a_j (i m)^j x)."""
-    modes = w.modes()
+    assemble_collocation_ode builds: sym x + sum_j compress(a_j (i m)^j x).
+
+    w is one window, whose product takes vectors of its N modes, or a group
+    of windows (see window_slots), whose product takes their (B, N) stack
+    and applies each row's own compression."""
+    big, mult = _multiplication(spec.var_coeffs, w, mode)
+    modes = big.modes()
     sym = spec.symbol(modes)
+    if len(spec.var_coeffs) == 1:
+        # order 0 alone: its power (i m)^0 is 1
+        return lambda x: sym * x + mult(x[..., None, :])
     powers = (1j * modes) ** np.arange(len(spec.var_coeffs))[:, None]
-    mult = _multiplication(spec.var_coeffs, w, mode)
-    return lambda x: sym * x + mult(powers * x)
+    return lambda x: sym * x + mult(powers * x[..., None, :])
 
 
-def sie_matvec(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
-    """Matrix-free x -> A x for the matrix A that assemble_sie builds: x - compress((g-1) C- x)."""
+def sie_matvec(jump: JumpSpec, w: Window, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free x -> A x for the matrix A that assemble_sie builds: x - compress((g-1) C- x).
+
+    w is one window or a group of them, as for ode_matvec."""
     return _sie_product(jump._perturbations[0], w, mode)
 
 
-def sie_regulator(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
+def sie_regulator(jump: JumpSpec, w: Window, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
     """Right regulator of the compressed SIE on w, as the product y -> R y.
 
     R = C+ - M(1/g) C- = Id - M(1/g - 1) C-, compressed as A is: the SIE
     product with 1/g in place of g.  For a zero-free g of winding zero,
-    A R is the identity plus a compact operator.
+    A R is the identity plus a compact operator.  w is one window or a
+    group of them, as for ode_matvec.
     """
     return _sie_product(jump._perturbations[1], w, mode)
 
 
-def _sie_product(h: CoeffVec, w: BandWindow, mode: str) -> Callable[[np.ndarray], np.ndarray]:
+def _sie_product(h: CoeffVec, w: Window, mode: str) -> Callable[[np.ndarray], np.ndarray]:
     """x -> x - compress(h C- x): sie_matvec for h = g - 1, sie_regulator for h = 1/g - 1."""
-    neg = (w.modes() < 0)[None, :]
-    mult = _multiplication((h,), w, mode)
-    return lambda x: x + mult(neg * x)
+    big, mult = _multiplication((h,), w, mode)
+    # C- keeps the modes below 0, the first n_minus slots; the FFT pads the rest with zeros
+    return lambda x: x + mult(x[..., None, :big.n_minus])
 
 
 def assemble_hankel(h: CoeffVec, w: BandWindow) -> OperatorMatrix:

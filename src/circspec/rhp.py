@@ -8,7 +8,9 @@ C+ - M(1/g) C- (operators.sie_regulator) so that, as in the ODE solve, the
 operator becomes the identity plus a compact one.  The jump arrives
 certified: JumpSpec(g) has checked once that g has no zero on the circle
 and recorded its winding number, which winding_number returns and
-solve_rhp requires to be 0, the index-0 case the regulator covers.  phi is reconstructed
+solve_rhp requires to be 0, the index-0 case the regulator covers.  As in
+the ODE solve, solve_rhp_windows solves windows that share a circulant
+length in one GMRES on their stack, and solve_rhp is it on one window.  phi is reconstructed
 off the circle from truncated Laurent sums of u.  Each sum reads one contiguous
 slice of u's coefficients, forward for the modes j >= 0 and reversed for
 j <= -1, and sums it as a power series in z or 1/z whose powers are
@@ -24,11 +26,11 @@ import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
 from .linsolve import SolveError, solve_checked
-from .operators import JumpSpec, check_mode, sie_matvec, sie_regulator
+from .operators import JumpSpec, check_mode, sie_matvec, sie_regulator, window_slots
 # not called here: bench/spans.py times the dense assembler where this module looks it up
 from .operators import assemble_sie  # noqa: F401
 
-__all__ = ["RHSolution", "solve_rhp", "evaluate_phi", "jump_residual", "winding_number"]
+__all__ = ["RHSolution", "solve_rhp", "solve_rhp_windows", "evaluate_phi", "jump_residual", "winding_number"]
 
 
 @dataclass(frozen=True)
@@ -48,22 +50,39 @@ def solve_rhp(jump: JumpSpec, w: BandWindow, mode: str = "finite_section",
     winding gives an operator of nonzero Fredholm index, which has no
     unique solution; it is rejected before solving.  The solve is
     right-regulated by operators.sie_regulator, and cond_cap bounds the
-    regulated operator's condition estimate (see solve_checked).
+    regulated operator's condition estimate (see solve_checked).  This is
+    solve_rhp_windows on the one window.
+    """
+    return solve_rhp_windows(jump, [w], mode, cond_cap)[0]
+
+
+def solve_rhp_windows(jump: JumpSpec, windows, mode: str = "finite_section",
+                      cond_cap: float = 1e12) -> list[RHSolution]:
+    """solve_rhp on each window, as one regulated GMRES on the windows' (B, N) stack.
+
+    The windows must share one circulant length (operators.circulant_length);
+    each row is solved, checked and gated on its own window, and the first
+    window that fails raises, naming its N.
     """
     check_mode(mode)
-    context = f"{mode} SIE solve at N={w.N}"
+    contexts = [f"{mode} SIE solve at N={w.N}" for w in windows]
     if jump.winding != 0:
         raise SolveError(
-            f"{context}: condition estimate inf (jump winding number {jump.winding}, "
+            f"{contexts[0]}: condition estimate inf (jump winding number {jump.winding}, "
             "nonzero Fredholm index)"
         )
     h = jump._perturbations[0]
-    if mode == "finite_section":
-        rhs = project(h, w).coeffs
-    else:
-        rhs = interpolate(evaluate_on_grid(h, w.N)).coeffs
-    x = solve_checked(sie_matvec(jump, w, mode), rhs, sie_regulator(jump, w, mode), cond_cap=cond_cap, context=context)
-    return RHSolution(u=CoeffVec(-w.n_minus, x), window=w)
+    big, slots = window_slots(windows)
+    rhs = np.zeros((len(windows), big.N), dtype=complex)
+    for row, s, w in zip(rhs, slots, windows):
+        if mode == "finite_section":
+            row[s] = project(h, w).coeffs
+        else:
+            row[s] = interpolate(evaluate_on_grid(h, w.N)).coeffs
+    # one window is solved as a vector, on the products' cheaper one-window path
+    x = solve_checked(sie_matvec(jump, windows, mode), rhs if len(windows) > 1 else rhs[0],
+                      sie_regulator(jump, windows, mode), cond_cap=cond_cap, context=contexts).reshape(rhs.shape)
+    return [RHSolution(u=CoeffVec(-w.n_minus, row[s]), window=w) for row, s, w in zip(x, slots, windows)]
 
 
 def _power_series(c: np.ndarray, w: complex, start: int) -> complex:

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +12,23 @@ from circspec import (
     BandWindow,
     CoeffVec,
     DiffOpSpec,
+    ExperimentConfig,
     SolveError,
     evaluate_on_grid,
     exact_constant_solve,
     interpolate,
+    ode_regulator,
     project,
     solve_ode,
+    solve_ode_windows,
     solve_rhp,
+    solve_rhp_windows,
 )
+from circspec.harness import _stacks
 from circspec.linsolve import MAX_ITER, solve_checked
 from circspec.problems import rhp_jump, third_order_ode
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestSolveChecked:
@@ -99,6 +107,71 @@ class TestSolveChecked:
         scale = np.array([1.0, np.nan, 1.0, 1.0]) if bad == "operator" else np.ones(4)
         with pytest.raises(SolveError, match="not finite"):
             solve_checked(lambda v: scale * v, f)
+
+    def test_stacked_rows_match_their_single_solves(self, monkeypatch):
+        # three diagonal systems on 13 modes: a spread of 13 values takes 13 steps;
+        # m^2 - 25.000001, regulated as solve_ode regulates it, takes 10 and then a
+        # refinement pass of 10 (see test_refinement_rescues_a_missed_residual);
+        # the constant 2 takes one.  Each row is solved, gated and refined on its own.
+        passes = []
+        gmres = circspec.linsolve._gmres
+
+        def recording(*args):
+            out = gmres(*args)
+            passes.append(out[1:3])
+            return out
+
+        monkeypatch.setattr(circspec.linsolve, "_gmres", recording)
+        w = BandWindow(13)
+        spec = DiffOpSpec.from_orders({2: -1.0, 0: -25.000001})
+        d = np.stack([np.linspace(1.0, 40.0, 13), spec.symbol(w.modes()), np.full(13, 2.0)]).astype(complex)
+        r = np.stack([1.0 / np.sqrt(d[0]), ode_regulator(spec, w)(np.ones(13, dtype=complex)), np.ones(13)])
+        f = np.stack([np.ones(13), 1 + 0.1j * w.modes(), np.arange(13) - 3.5j])
+        x = solve_checked(lambda v: d * v, f, lambda v: r * v)
+        stacked = passes[:]
+        assert [steps for _, steps in stacked] == [[13, 10, 1], [0, 10, 0]]
+        for b in range(3):
+            passes.clear()
+            single = solve_checked(lambda v: d[b] * v, f[b], lambda v: r[b] * v)
+            assert np.linalg.norm(x[b] - single) <= 1e-14 * np.linalg.norm(single)
+            assert stacked[0][0][b] == pytest.approx(passes[0][0][0], rel=1e-14)
+            assert sum(steps[b] for _, steps in stacked) == sum(steps[0] for _, steps in passes)
+
+    def test_stack_names_its_first_failing_row(self):
+        # rows 1 and 2 are singular; the error names row 1's context
+        d = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]], dtype=complex)
+        with pytest.raises(SolveError, match="^second: condition estimate"):
+            solve_checked(lambda v: d * v, np.ones((3, 3)), context=["first", "second", "third"])
+
+    def test_zero_row_of_a_stack_is_zero(self):
+        d = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+        f = np.array([[0.0, 0.0], [3.0, 8.0]], dtype=complex)
+        x = solve_checked(lambda v: d * v, f)
+        assert np.array_equal(x[0], np.zeros(2)) and np.allclose(x[1], [1.0, 2.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("solver", ["ode3", "rhp"])
+def test_stacked_sweep_peaks_below_reference(solver):
+    # the harness cuts a sweep's stacks so that none needs more memory than the reference
+    cfg = ExperimentConfig.from_json_file(str(CONFIGS / f"{solver}.json"))
+    windows = [[BandWindow(n) for n in ns] for ns in _stacks(cfg.N_list, cfg.N_ref, cfg.mode)]
+    assert max(map(len, windows)) > 1
+    if solver == "ode3":
+        problem = third_order_ode(cfg.alpha, cfg.N_ref)
+        reference, stack = partial(solve_ode, *problem, BandWindow(cfg.N_ref)), partial(solve_ode_windows, *problem)
+    else:
+        jump = rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref)
+        reference, stack = partial(solve_rhp, jump, BandWindow(cfg.N_ref)), partial(solve_rhp_windows, jump)
+    reference()  # builds what is kept per operator, such as the ODE low block
+    peaks = []
+    for solve in [reference] + [partial(stack, ws) for ws in windows]:
+        tracemalloc.start()
+        try:
+            solve()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[1:]) < peaks[0]
 
 
 @pytest.mark.parametrize("solver", ["ode3", "rhp"])

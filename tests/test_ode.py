@@ -18,6 +18,7 @@ from circspec import (
     interpolate,
     project,
     solve_ode,
+    solve_ode_windows,
     sobolev_norm,
 )
 import circspec.ode
@@ -243,6 +244,26 @@ class TestMatrixFreeSolve:
         u = solve_ode(spec, rhs, BandWindow(n))
         coarse = solve_ode(spec, rhs, BandWindow(401))
         assert diff_norm(u, coarse, 0.0) <= 1e-6
+
+
+class TestWindowStacks:
+    @pytest.mark.parametrize("mode, sizes", [("finite_section", (33, 40, 50, 64)), ("finite_section", (9, 16)),
+                                             ("collocation", (48, 48))])
+    def test_rows_match_their_single_solves(self, mode, sizes):
+        # the windows of a stack share one circulant length; each row is its own solve
+        spec, rhs = third_order_ode(1.51, 129)
+        got = solve_ode_windows(spec, rhs, [BandWindow(n) for n in sizes], mode)
+        for u, n in zip(got, sizes):
+            want = solve_ode(spec, rhs, BandWindow(n), mode)
+            assert u.j_min == want.j_min
+            assert np.linalg.norm(u.coeffs - want.coeffs) <= 1e-14 * np.linalg.norm(want.coeffs)
+
+    def test_first_failing_window_raises(self):
+        # -d^2 + 25 vanishes at m = +-5: the 10-mode window holds mode -5, the 9-mode one does not
+        spec = DiffOpSpec.from_orders({2: 1.0, 0: 25.0})
+        f = CoeffVec.from_dict({m: 1.0 for m in range(-6, 7)})
+        with pytest.raises(SolveError, match=r"^finite_section solve at N=10: .*mode -5"):
+            solve_ode_windows(spec, f, [BandWindow(9), BandWindow(10), BandWindow(12)])
 
 
 class TestTwoLevelRegulator:

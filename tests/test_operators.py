@@ -19,11 +19,13 @@ from circspec import (
     choose_zeta,
     evaluate_on_grid,
     ode_matvec,
+    ode_regulator,
     operator_norm_weighted,
     project,
     sie_matvec,
     sie_regulator,
     synth_powerlaw,
+    window_slots,
 )
 from circspec.operators import OperatorMatrix, _compression_entries, _symbol_reach, _toeplitz_entries
 from circspec.problems import rhp_jump, second_order_operator, third_order_ode, third_order_operator
@@ -649,6 +651,49 @@ class TestMatrixFree:
         x = np.arange(9) + 1j
         for mode in ("finite_section", "collocation"):
             assert np.array_equal(ode_matvec(spec, w, mode)(x), spec.symbol(w.modes()) * x)
+
+    @pytest.mark.parametrize("mode, sizes", [("finite_section", (17, 20, 31, 32)), ("finite_section", (5, 8)),
+                                             ("collocation", (12, 12))])
+    def test_group_rows_take_their_own_windows(self, mode, sizes):
+        # a group's stack lays each window on the modes of the largest; every row gets
+        # its own window's product and regulator, and stays zero off its window
+        rng = np.random.default_rng(101)
+        spec = DiffOpSpec.from_orders({3: -1.0, 0: 0.5}, var=(random_coeffvec(rng, 20, 0.3), random_coeffvec(rng, 5, 0.1)))
+        c = 0.2 * (rng.standard_normal(41) + 1j * rng.standard_normal(41))
+        c[20] += 1.0
+        jump = JumpSpec(CoeffVec(-20, c))
+        windows = [BandWindow(n) for n in sizes]
+        big, slots = window_slots(windows)
+        x = np.zeros((len(windows), big.N), dtype=complex)
+        for row, s in zip(x, slots):
+            row[s] = rng.standard_normal(s.stop - s.start) + 1j * rng.standard_normal(s.stop - s.start)
+        for build in (lambda w: ode_matvec(spec, w, mode), lambda w: ode_regulator(spec, w),
+                      lambda w: sie_matvec(jump, w, mode), lambda w: sie_regulator(jump, w, mode)):
+            got = build(windows)(x)
+            for row, xrow, s, w in zip(got, x, slots, windows):
+                want = build(w)(xrow[s])
+                assert np.linalg.norm(row[s] - want) <= 1e-13 * np.linalg.norm(want)
+                assert not np.delete(row, np.arange(s.start, s.stop)).any()
+
+    def test_regulator_group_of_windows_with_and_without_the_low_block(self):
+        # a 9-mode window is too small for the 17-mode low block, a 17-mode one holds it
+        spec = third_order_ode(1.51, 401)[0]
+        windows = [BandWindow(9), BandWindow(17)]
+        big, slots = window_slots(windows)
+        x = np.zeros((2, big.N), dtype=complex)
+        x[0, slots[0]] = np.arange(9) + 1j
+        x[1, slots[1]] = 1.0 - 2j * np.arange(17)
+        got = ode_regulator(spec, windows)(x)
+        for row, xrow, s, w in zip(got, x, slots, windows):
+            want = ode_regulator(spec, w)(xrow[s])
+            assert np.linalg.norm(row[s] - want) <= 1e-15 * np.linalg.norm(want)
+
+    def test_group_must_share_a_circulant_length(self):
+        spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))
+        with pytest.raises(ValueError, match="circulant length"):
+            ode_matvec(spec, [BandWindow(16), BandWindow(17)])
+        with pytest.raises(ValueError, match="circulant length"):
+            ode_matvec(spec, [BandWindow(12), BandWindow(13)], "collocation")
 
     def test_unknown_mode_rejected(self):
         spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))

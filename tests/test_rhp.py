@@ -17,6 +17,7 @@ from circspec import (
     jump_residual,
     project,
     solve_rhp,
+    solve_rhp_windows,
     winding_number,
 )
 import circspec.operators
@@ -238,6 +239,19 @@ class TestMatrixFreeSolve:
         jump = JumpSpec(CoeffVec.from_dict(coeffs))
         with pytest.raises(SolveError, match="condition estimate inf.*Fredholm index"):
             solve_rhp(jump, BandWindow(n), mode=mode)
+
+
+class TestWindowStacks:
+    @pytest.mark.parametrize("mode, sizes", [("finite_section", (33, 40, 50, 64)), ("finite_section", (9, 16)),
+                                             ("collocation", (48, 48))])
+    def test_rows_match_their_single_solves(self, mode, sizes):
+        # the windows of a stack share one circulant length; each row is its own solve
+        jump = rhp_jump(1.51, 0.6, 129)
+        got = solve_rhp_windows(jump, [BandWindow(n) for n in sizes], mode)
+        for sol, n in zip(got, sizes):
+            want = solve_rhp(jump, BandWindow(n), mode).u
+            assert sol.window == BandWindow(n) and sol.u.j_min == want.j_min
+            assert np.linalg.norm(sol.u.coeffs - want.coeffs) <= 1e-14 * np.linalg.norm(want.coeffs)
 
 
 def counting_products(monkeypatch) -> list:
