@@ -6,10 +6,12 @@ All four run through one sweep, _sweep, which builds the problem and solves
 it at N_ref, then at each N in N_list, measuring each solution against the
 reference in the same floating-point guard as the solve (a weighted
 coefficient norm for the solvers, matched eigenvalue distances for the
-spectra, reported as the largest under a modulus cap).  The solvers take
-N_list in stacks (_stacks): the windows that share a circulant length are
-solved as one GMRES on their stack, and a stack that fails is solved again
-window by window, so the first failing N is the one solving N by N finds.  Each experiment
+spectra, reported as the largest under a modulus cap).  Each experiment
+gives the sweep one solve for a list of N.  A finite-section solver sweep
+takes N_list in stacks (_stacks): the windows that share a circulant length
+are solved as one GMRES on their stack, and a stack that fails is solved
+again window by window, so the first failing N is the one solving N by N
+finds.  Collocation and the spectra take one N at a time.  Each experiment
 then fits a log-log slope.  Runs are deterministic: the same configuration
 at the same BLAS thread count yields byte-identical CSV output.
 """
@@ -26,11 +28,12 @@ import numpy as np
 from . import problems
 from .fourier import BandWindow, diff_norm
 from .linsolve import SolveError
-from .ode import solve_ode, solve_ode_windows
+from .ode import solve_ode_windows
 from .operators import check_mode, circulant_length
-from .rhp import solve_rhp, solve_rhp_windows
-# not called here: bench/spans.py times winding_number where this module looks it up
-from .rhp import winding_number  # noqa: F401
+from .rhp import solve_rhp_windows
+# not called here: bench/spans.py times these where this module looks them up
+from .ode import solve_ode  # noqa: F401
+from .rhp import solve_rhp, winding_number  # noqa: F401
 from .spectrum import eigen_distances, eigenvalues_self_adjoint
 
 __all__ = [
@@ -216,7 +219,8 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     if cfg.experiment.startswith("spectrum"):
         build = problems.second_order_operator if cfg.experiment == "spectrum2" else problems.third_order_operator
         matches = _sweep(lambda: build(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale),
-                         lambda spec, n: eigenvalues_self_adjoint(spec, BandWindow(n)), eigen_distances, cfg)
+                         lambda spec, ns: [eigenvalues_self_adjoint(spec, BandWindow(n)) for n in ns],
+                         eigen_distances, cfg)
         rows, eigen_rows = [], []
         for n, matched in zip(cfg.N_list, matches):
             for lam, d, r in zip(matched.lam, matched.dist, matched.rescaled):
@@ -231,14 +235,14 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
 
         if cfg.experiment == "ode3":
             errors = _sweep(lambda: problems.third_order_ode(cfg.alpha, cfg.N_ref, g_scale=cfg.g_scale),
-                            lambda p, n: solve_ode(*p, BandWindow(n), mode=cfg.mode), error, cfg,
-                            lambda p, ns: solve_ode_windows(*p, [BandWindow(n) for n in ns], mode=cfg.mode))
+                            lambda p, ns: solve_ode_windows(*p, [BandWindow(n) for n in ns], mode=cfg.mode),
+                            error, cfg)
         else:
-            # solve_rhp rejects a jump of nonzero winding, naming the winding number
+            # solve_rhp_windows rejects a jump of nonzero winding, naming the winding number
             errors = _sweep(lambda: problems.rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref),
-                            lambda jump, n: solve_rhp(jump, BandWindow(n), mode=cfg.mode).u, error, cfg,
                             lambda jump, ns: [sol.u for sol in
-                                              solve_rhp_windows(jump, [BandWindow(n) for n in ns], mode=cfg.mode)])
+                                              solve_rhp_windows(jump, [BandWindow(n) for n in ns], mode=cfg.mode)],
+                            error, cfg)
         rows = list(zip(cfg.N_list, errors))
         eigen_rows, notes = None, []
 
@@ -249,62 +253,61 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
                              excluded=excluded, eigen_rows=eigen_rows, notes=notes)
 
 
-def _stacks(n_list, n_ref: int, mode: str) -> list[list[int]]:
-    """The runs of N_list that a solver sweep solves as one stack.
+def _stacks(cfg: ExperimentConfig) -> list[list[int]]:
+    """N_list cut into the stacks that _sweep solves in one call.
 
-    A stack is a run of consecutive N that share a circulant length
-    (operators.circulant_length), cut so that its B windows hold no more
-    modes than the reference (B max(N) <= n_ref) and its B circulants no
-    more entries than the reference's: a stack never needs more memory
-    than the reference solve.  Collocation's circulant length is N, so
-    its stacks hold one window each.
+    A finite-section solver sweep stacks each run of consecutive N that share a
+    circulant length (operators.circulant_length), cut so that its B windows hold
+    no more modes than the reference (B max(N) <= N_ref) and its B circulants no
+    more entries than the reference's: a stack never needs more memory than the
+    reference solve.  Collocation, whose circulant length is N itself, and the
+    spectrum experiments take one N at a time.
     """
-    room = circulant_length(n_ref, mode)
+    if cfg.experiment.startswith("spectrum") or cfg.mode == "collocation":
+        return [[n] for n in cfg.N_list]
+    room = circulant_length(cfg.N_ref, "finite_section")
     out = []
-    for n in n_list:
+    for n in cfg.N_list:
         last = out[-1] if out else []
-        size = circulant_length(n, mode)
-        if last and circulant_length(last[0], mode) == size \
-                and (len(last) + 1) * n <= n_ref and (len(last) + 1) * size <= room:
+        size = circulant_length(n, "finite_section")
+        if last and circulant_length(last[0], "finite_section") == size \
+                and (len(last) + 1) * n <= cfg.N_ref and (len(last) + 1) * size <= room:
             last.append(n)
         else:
             out.append([n])
     return out
 
 
-def _sweep(build, solve_at_N, measure, cfg: ExperimentConfig, solve_stack=None) -> list:
+def _sweep(build, solve, measure, cfg: ExperimentConfig) -> list:
     """Build the problem and solve it at N_ref, then solve it at each N in N_list and
-    return measure(result, reference) per N.  Each step, the measurement included, raises
-    floating-point overflow, division by zero and invalid operations (not underflow); a
-    SolveError, ValueError or FloatingPointError from a step is re-raised as a SolveError
-    naming the step and N.
-
-    With solve_stack, which returns the results for a list of N, each stack of N_list
-    (see _stacks) with more than one N is solved in one call.  A stack that raises is
-    solved again one N at a time, in order, so the first failing N, and its message,
-    are those of the N-by-N sweep."""
-    def step(what: str, n: int, fn, *args):
+    return measure(result, reference) per N.  solve(problem, ns) returns the results for
+    a list of N: the reference goes to it alone, N_list in the stacks of _stacks.  Each
+    step, the measurement included, raises floating-point overflow, division by zero and
+    invalid operations (not underflow); a SolveError, ValueError or FloatingPointError from
+    a step is re-raised as a SolveError naming the step and N.  A stack that raises is
+    solved again one N at a time, in order, so the first failing N, and its message, are
+    those of the N-by-N sweep."""
+    def step(what: str, n: int, fn):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return fn(*args)
+                return fn()
         except (SolveError, ValueError, FloatingPointError) as exc:
             raise SolveError(f"{what} failed at N={n}: {exc}") from exc
 
     problem = step(f"{cfg.experiment} reference", cfg.N_ref, build)
-    ref = step(f"{cfg.experiment} reference", cfg.N_ref, solve_at_N, problem, cfg.N_ref)
-    runs = _stacks(cfg.N_list, cfg.N_ref, cfg.mode) if solve_stack else [[n] for n in cfg.N_list]
+    ref = step(f"{cfg.experiment} reference", cfg.N_ref, lambda: solve(problem, [cfg.N_ref])[0])
     out = []
-    for ns in runs:
+    for ns in _stacks(cfg):
         solved = {}
         if len(ns) > 1:
             try:
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    solved = dict(zip(ns, solve_stack(problem, ns)))
+                    solved = dict(zip(ns, solve(problem, ns)))
             except (SolveError, ValueError, FloatingPointError):
                 pass  # solved again one N at a time below, which raises what the N-by-N sweep raises
         for n in ns:
             out.append(step(cfg.experiment, n,
-                            lambda: measure(solved[n] if solved else solve_at_N(problem, n), ref)))
+                            lambda: measure(solved[n] if solved else solve(problem, [n])[0], ref)))
     return out
 
 

@@ -84,12 +84,9 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
         # GMRES works on (B, n) stacks: a single right-hand side is a stack of one
         return f if len(shape) == 2 else (lambda x: f(x[0])[None])
 
-    product = on_rows(apply)
-    reg = on_rows(regulator) if regulator is not None else (lambda y: y)
-
-    def op(y):
-        return product(reg(y))
-
+    regulate = regulator if regulator is not None else (lambda y: y)
+    product, reg = on_rows(apply), on_rows(regulate)
+    op = on_rows(lambda y: apply(regulate(y)))
     y, cond, steps, met = _gmres(op, rows, beta, contexts)
     for c, where in zip(cond, contexts):
         if not math.isfinite(c) or c > cond_cap:
@@ -154,11 +151,10 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[f
         # classical Gram-Schmidt, run twice to keep the basis orthogonal to working
         # precision, as stacked products: vecdot forms conj(V) w and matvec V^T h row by row
         v = basis[:, :k + 1]
-        vt = v.transpose(0, 2, 1)
         h = np.vecdot(v, w[:, None])
-        w = w - np.matvec(vt, h)
+        w = w - np.matvec(v.mT, h)
         again = np.vecdot(v, w[:, None])
-        w -= np.matvec(vt, again)
+        w -= np.matvec(v.mT, again)
         h += again
         cols, hn = h.tolist(), np.vecdot(w, w).real.tolist()
         scale = [0.0] * count

@@ -136,7 +136,7 @@ class DiffOpSpec:
         return len(self.var_coeffs) - 1
 
     def has_variable_part(self) -> bool:
-        return any(np.any(a.coeffs != 0) for a in self.var_coeffs)
+        return any(a.coeffs.any() for a in self.var_coeffs)
 
     def symbol(self, m) -> np.ndarray:
         """Constant-part symbol sum_j c_j (i m)^j at integer modes m."""
@@ -493,7 +493,7 @@ def _multiplication(coeffs: tuple, w: Window, mode: str) -> tuple[BandWindow, Ca
     def product(v):
         spectra = np.fft.fft(v, size)
         spectra *= symbols
-        total = spectra[..., 0, :] if len(symbols) == 1 else spectra.sum(axis=-2)
+        total = spectra.sum(axis=-2)
         # window slot i holds mode i - n_minus; a circulant depends only on slot differences
         out = np.fft.ifft(total, out=total)[..., :n]
         return out if mask is None else mask * out
@@ -510,9 +510,6 @@ def ode_matvec(spec: DiffOpSpec, w: Window, mode: str = "finite_section") -> Cal
     big, mult = _multiplication(spec.var_coeffs, w, mode)
     modes = big.modes()
     sym = spec.symbol(modes)
-    if len(spec.var_coeffs) == 1:
-        # order 0 alone: its power (i m)^0 is 1
-        return lambda x: sym * x + mult(x[..., None, :])
     powers = (1j * modes) ** np.arange(len(spec.var_coeffs))[:, None]
     return lambda x: sym * x + mult(powers * x[..., None, :])
 

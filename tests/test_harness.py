@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,6 @@ from circspec import (
     fit_slope,
     harness,
     run_experiment,
-    solve_ode,
     solve_ode_windows,
 )
 from circspec.cli import main_convergence, main_solve_ode, main_solve_rhp, main_spectrum
@@ -265,7 +263,7 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
-    def test_stacked_sweep_fails_as_the_window_by_window_sweep(self, tmp_path, mode):
+    def test_stacked_sweep_fails_as_the_window_by_window_sweep(self, tmp_path, monkeypatch, mode):
         # -d^2 + 100 vanishes at m = +-10, where the data is nonzero, so every window
         # from N = 20 on fails; in finite_section N = 20 lies in a stack whose first
         # three windows solve.  That stack is solved again N by N, so the
@@ -274,20 +272,22 @@ class TestRunExperiment:
         spec = DiffOpSpec.from_orders({2: 1.0, 0: 100.0})
         f = CoeffVec.from_dict({m: 1.0 + 0.1j * m for m in range(-12, 13)})
         cfg = small_ode3(tmp_path, N_list=[12, 16, 17, 18, 19, 20, 24, 32], N_ref=129, mode=mode)
+        stacks = harness._stacks(cfg)
         if mode == "finite_section":
-            assert [17, 18, 19, 20, 24] in harness._stacks(cfg.N_list, cfg.N_ref, mode)
+            assert [17, 18, 19, 20, 24] in stacks
+        else:
+            assert stacks == [[n] for n in cfg.N_list]
 
-        def solve_at_n(p, n):
-            return CoeffVec(0, np.ones(1)) if n == cfg.N_ref else solve_ode(*p, BandWindow(n), mode=mode)
-
-        def solve_stack(p, ns):
+        def solve(p, ns):
+            if ns == [cfg.N_ref]:
+                return [CoeffVec(0, np.ones(1))]
             return solve_ode_windows(*p, [BandWindow(n) for n in ns], mode=mode)
 
-        sweep = partial(harness._sweep, lambda: (spec, f), solve_at_n, lambda u, ref: diff_norm(ref, u, 0.0), cfg)
         messages = []
-        for stack in (solve_stack, None):
+        for runs in (stacks, [[n] for n in cfg.N_list]):
+            monkeypatch.setattr(harness, "_stacks", lambda cfg: runs)
             with pytest.raises(SolveError) as failure:
-                sweep(stack)
+                harness._sweep(lambda: (spec, f), solve, lambda u, ref: diff_norm(ref, u, 0.0), cfg)
             messages.append(str(failure.value))
         assert messages[0] == messages[1] == (
             f"ode3 failed at N=20: {mode} solve at N=20: condition estimate inf "

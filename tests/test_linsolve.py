@@ -154,7 +154,7 @@ class TestSolveChecked:
 def test_stacked_sweep_peaks_below_reference(solver):
     # the harness cuts a sweep's stacks so that none needs more memory than the reference
     cfg = ExperimentConfig.from_json_file(str(CONFIGS / f"{solver}.json"))
-    windows = [[BandWindow(n) for n in ns] for ns in _stacks(cfg.N_list, cfg.N_ref, cfg.mode)]
+    windows = [[BandWindow(n) for n in ns] for ns in _stacks(cfg)]
     assert max(map(len, windows)) > 1
     if solver == "ode3":
         problem = third_order_ode(cfg.alpha, cfg.N_ref)
