@@ -7,11 +7,11 @@ it at N_ref, then at each N in N_list, measuring each solution against the
 reference in the same floating-point guard as the solve (a weighted
 coefficient norm for the solvers, matched eigenvalue distances for the
 spectra, reported as the largest under a modulus cap).  Each experiment
-gives the sweep one solve for a list of N.  A finite-section solver sweep
-takes N_list in stacks (_stacks): the windows that share a circulant length
-are solved as one GMRES on their stack, and a stack that fails is solved
-again window by window, so the first failing N is the one solving N by N
-finds.  Collocation and the spectra take one N at a time.  Each experiment
+gives the sweep one solve for a list of N.  A solver sweep, in either
+mode, takes N_list in stacks (_stacks): the windows that share a circulant
+length are solved as one GMRES on their stack, and a stack that fails is
+solved again window by window, so the first failing N is the one solving N
+by N finds.  The spectra take one N at a time.  Each experiment
 then fits a log-log slope.  Runs are deterministic: the same configuration
 at the same BLAS thread count yields byte-identical CSV output.
 """
@@ -256,22 +256,21 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
 def _stacks(cfg: ExperimentConfig) -> list[list[int]]:
     """N_list cut into the stacks that _sweep solves in one call.
 
-    A finite-section solver sweep stacks each run of consecutive N that share a
-    circulant length (operators.circulant_length), cut so that its B windows hold
-    no more modes than the reference (B max(N) <= N_ref) and its B circulants no
-    more entries than the reference's: a stack never needs more memory than the
-    reference solve.  Collocation, whose circulant length is N itself, and the
-    spectrum experiments take one N at a time.
+    A solver sweep stacks each run of consecutive N that share a circulant
+    length (operators.circulant_length, the same in both modes), cut so that its
+    B windows hold no more modes than the reference (B max(N) <= N_ref) and its B
+    circulants no more entries than the reference's: a stack never needs more
+    memory than the reference solve.  The spectrum experiments take one N at a time.
     """
-    if cfg.experiment.startswith("spectrum") or cfg.mode == "collocation":
+    if cfg.experiment.startswith("spectrum"):
         return [[n] for n in cfg.N_list]
-    room = circulant_length(cfg.N_ref, "finite_section")
+    room = circulant_length(cfg.N_ref)
     out = []
     for n in cfg.N_list:
         last = out[-1] if out else []
-        size = circulant_length(n, "finite_section")
-        if last and circulant_length(last[0], "finite_section") == size \
-                and (len(last) + 1) * n <= cfg.N_ref and (len(last) + 1) * size <= room:
+        size = circulant_length(n)
+        if last and circulant_length(last[0]) == size and (len(last) + 1) * n <= cfg.N_ref \
+                and (len(last) + 1) * size <= room:
             last.append(n)
         else:
             out.append([n])

@@ -50,9 +50,9 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     apply and regulator map arrays of rhs's shape to arrays of that shape,
     row by row.  regulator is the product y -> R y; None stands for the
     identity.  context names the solve in errors: one string, or one per
-    row of a stack.  The condition estimate of a row is sigma_max /
-    sigma_min of its Arnoldi Hessenberg matrix of the regulated operator
-    x -> apply(R x), gated against cond_cap.
+    row (ValueError otherwise).  The condition estimate of a row is
+    sigma_max / sigma_min of its Arnoldi Hessenberg matrix of the regulated
+    operator x -> apply(R x), gated against cond_cap.
 
     GMRES stops a row when its residual estimate falls below GMRES_TOL
     relative to its right-hand side, or after min(n, MAX_ITER) iterations.
@@ -68,6 +68,8 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     shape = np.shape(rhs)
     rows = np.ascontiguousarray(rhs, dtype=complex).reshape(-1, shape[-1])
     contexts = [context] * len(rows) if isinstance(context, str) else list(context)
+    if len(contexts) != len(rows):
+        raise ValueError(f"context must give one name per row: {len(rows)} rows, {len(contexts)} names")
     tops = np.abs(rows.view(float)).max(axis=1, initial=0.0).tolist()
     if not any(tops):
         return np.zeros(shape, dtype=complex)

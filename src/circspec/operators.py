@@ -3,11 +3,12 @@
 The solvers apply the finite-section / collocation compressions of the
 differential operators and of the singular-integral operator matrix-free
 (ode_matvec, sie_matvec) through one circulant product, O(N) storage and
-O(N log N) work: a collocation product is the circulant of the coefficients
-folded mod N, a finite-section product embeds the Toeplitz matrix.  The
-products and regulators also act on a group of windows that share a
-circulant_length: a (B, N) stack laid out by window_slots on the modes of
-the largest window, each row masked back to its own window.
+O(N log N) work.  Both compressions of a multiplication are Toeplitz, so
+both embed in the power-of-two circulant of circulant_length; they differ
+only in the mode-difference row (_difference_row).  The products and
+regulators also act on a group of windows that share a circulant_length:
+a (B, N) stack laid out by window_slots on the modes of the largest
+window, each row masked back to its own window.
 
 ode_regulator and sie_regulator are the solvers' right regulators, each
 returned as the product y -> R y.  ode_regulator is the only code that
@@ -29,8 +30,9 @@ i - n_minus, the same map on both sides.  Every dense compression of a
 multiplication is the Toeplitz matrix of one row, _difference_row, which
 gives the multiplier's entry for each mode difference 1-N..N-1: its
 coefficients for the finite section, and its coefficients folded mod N
-for collocation, the same rule the circulant product follows.  The
-eigensolver reads the finite-section compression through
+for collocation.  The circulant product embeds the same row, so
+_difference_row is the one place that knows what each compression means.
+The eigensolver reads the finite-section compression through
 _compression_entries, which builds a real compression as float64, without
 a complex N x N.
 """
@@ -430,11 +432,10 @@ def assemble_sie(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") ->
     return OperatorMatrix(w, entries)
 
 
-def circulant_length(n: int, mode: str) -> int:
-    """Length of the circulant that applies an n-mode compression: the power of two
-    >= 2n - 1 that embeds the finite section, n for collocation."""
-    check_mode(mode)
-    return 1 << (2 * n - 2).bit_length() if mode == "finite_section" else n
+def circulant_length(n: int) -> int:
+    """Length of the circulant that applies an n-mode compression in either mode: the
+    power of two >= 2n - 1, which holds the 2n - 1 mode differences of n modes."""
+    return 1 << (2 * n - 2).bit_length()
 
 
 def window_slots(windows) -> tuple[BandWindow, list[slice]]:
@@ -455,8 +456,6 @@ def _group(w: Window) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray | 
     off a row's window.
     """
     windows = (w,) if isinstance(w, BandWindow) else tuple(w)
-    if len(windows) == 1:
-        return windows[0], windows, None
     big, slots = window_slots(windows)
     if all(v.N == big.N for v in windows):
         return big, windows, None
@@ -471,31 +470,31 @@ def _multiplication(coeffs: tuple, w: Window, mode: str) -> tuple[BandWindow, Ca
     """The largest window of w, and the matrix-free v -> sum_j compress(a_j v_j) for a
     (..., len(coeffs), N) stack v on its modes.
 
-    Both compressions are one circulant product, one batched FFT each way,
-    of length circulant_length.  finite_section embeds each Toeplitz matrix
-    of a_j's modes -(N-1)..N-1 in a circulant of power-of-two length
-    >= 2N-1 (Chan & Ng, SIAM Rev. 1996); collocation is the N x N circulant
-    of all of a_j's modes folded mod N, which equals multiplying on the
-    N-point grid and interpolating back.  w is one window or a group that
-    shares one circulant length; a group's rows take the largest window's
-    product, masked back to their own windows.
+    Both compressions are Toeplitz: row b applies the Toeplitz matrix of
+    _difference_row(a_j, N_b, mode), embedded in a circulant of the shared
+    circulant_length (Chan & Ng, SIAM Rev. 1996) and applied by one batched
+    FFT each way.  w is one window or a group that shares that length; a
+    group's rows take their own symbols on the largest window's slots,
+    masked back to their own windows.
     """
+    check_mode(mode)
     big, windows, mask = _group(w)
-    n = big.N
-    size = circulant_length(n, mode)
-    if len(windows) > 1 and any(circulant_length(v.N, mode) != size for v in windows):
-        raise ValueError(f"a group's windows must share one {mode} circulant length")
-    if mode == "finite_section":
-        coeffs = [a.windowed(1 - n, n - 1) for a in coeffs]
-    cols = np.array([a.folded(size) for a in coeffs], dtype=complex).reshape(len(coeffs), size)
-    symbols = np.fft.fft(cols, axis=1)
+    size = circulant_length(big.N)
+    if any(circulant_length(v.N) != size for v in windows):
+        raise ValueError("a group's windows must share one circulant length")
+    # difference d in slot d mod size: window slot i holds mode i - n_minus, and a
+    # circulant depends only on slot differences
+    cols = np.zeros((len(windows), len(coeffs), size), dtype=complex)
+    for col, v in zip(cols, windows):
+        for c, row in zip(col, (_difference_row(a, v.N, mode) for a in coeffs)):
+            c[:v.N], c[size - v.N + 1:] = row[v.N - 1:], row[:v.N - 1]
+    symbols = np.fft.fft(cols if len(windows) > 1 else cols[0])
 
     def product(v):
         spectra = np.fft.fft(v, size)
         spectra *= symbols
         total = spectra.sum(axis=-2)
-        # window slot i holds mode i - n_minus; a circulant depends only on slot differences
-        out = np.fft.ifft(total, out=total)[..., :n]
+        out = np.fft.ifft(total, out=total)[..., :big.N]
         return out if mask is None else mask * out
     return big, product
 

@@ -265,7 +265,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
     def test_stacked_sweep_fails_as_the_window_by_window_sweep(self, tmp_path, monkeypatch, mode):
         # -d^2 + 100 vanishes at m = +-10, where the data is nonzero, so every window
-        # from N = 20 on fails; in finite_section N = 20 lies in a stack whose first
+        # from N = 20 on fails; in both modes N = 20 lies in a stack whose first
         # three windows solve.  That stack is solved again N by N, so the
         # stacked sweep reports what the N-by-N sweep reports.  The reference is
         # stubbed out, as it holds mode 10 too.
@@ -273,10 +273,7 @@ class TestRunExperiment:
         f = CoeffVec.from_dict({m: 1.0 + 0.1j * m for m in range(-12, 13)})
         cfg = small_ode3(tmp_path, N_list=[12, 16, 17, 18, 19, 20, 24, 32], N_ref=129, mode=mode)
         stacks = harness._stacks(cfg)
-        if mode == "finite_section":
-            assert [17, 18, 19, 20, 24] in stacks
-        else:
-            assert stacks == [[n] for n in cfg.N_list]
+        assert [17, 18, 19, 20, 24] in stacks
 
         def solve(p, ns):
             if ns == [cfg.N_ref]:

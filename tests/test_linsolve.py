@@ -1,6 +1,7 @@
 """Tests for the regulated GMRES solve behind solve_ode and solve_rhp."""
 
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -150,18 +151,22 @@ class TestSolveChecked:
         assert np.array_equal(x[0], np.zeros(2)) and np.allclose(x[1], [1.0, 2.0], rtol=1e-15)
 
 
-@pytest.mark.parametrize("solver", ["ode3", "rhp"])
-def test_stacked_sweep_peaks_below_reference(solver):
+@pytest.mark.parametrize("solver, mode", [("ode3", "finite_section"), ("rhp", "finite_section"),
+                                          ("ode3", "collocation"), ("rhp", "collocation")],
+                         ids=["ode3", "rhp", "ode3-collocation", "rhp-collocation"])
+def test_stacked_sweep_peaks_below_reference(solver, mode):
     # the harness cuts a sweep's stacks so that none needs more memory than the reference
     cfg = ExperimentConfig.from_json_file(str(CONFIGS / f"{solver}.json"))
-    windows = [[BandWindow(n) for n in ns] for ns in _stacks(cfg)]
+    windows = [[BandWindow(n) for n in ns] for ns in _stacks(replace(cfg, mode=mode))]
     assert max(map(len, windows)) > 1
     if solver == "ode3":
         problem = third_order_ode(cfg.alpha, cfg.N_ref)
-        reference, stack = partial(solve_ode, *problem, BandWindow(cfg.N_ref)), partial(solve_ode_windows, *problem)
+        reference = partial(solve_ode, *problem, BandWindow(cfg.N_ref), mode=mode)
+        stack = partial(solve_ode_windows, *problem, mode=mode)
     else:
         jump = rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref)
-        reference, stack = partial(solve_rhp, jump, BandWindow(cfg.N_ref)), partial(solve_rhp_windows, jump)
+        reference = partial(solve_rhp, jump, BandWindow(cfg.N_ref), mode=mode)
+        stack = partial(solve_rhp_windows, jump, mode=mode)
     reference()  # builds what is kept per operator, such as the ODE low block
     peaks = []
     for solve in [reference] + [partial(stack, ws) for ws in windows]:

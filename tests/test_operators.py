@@ -653,7 +653,8 @@ class TestMatrixFree:
             assert np.array_equal(ode_matvec(spec, w, mode)(x), spec.symbol(w.modes()) * x)
 
     @pytest.mark.parametrize("mode, sizes", [("finite_section", (17, 20, 31, 32)), ("finite_section", (5, 8)),
-                                             ("collocation", (12, 12))])
+                                             ("collocation", (12, 12)), ("collocation", (17, 20, 31, 32)),
+                                             ("collocation", (5, 8))])
     def test_group_rows_take_their_own_windows(self, mode, sizes):
         # a group's stack lays each window on the modes of the largest; every row gets
         # its own window's product and regulator, and stays zero off its window
@@ -689,11 +690,11 @@ class TestMatrixFree:
             assert np.linalg.norm(row[s] - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_group_must_share_a_circulant_length(self):
+        # both modes embed in the power of two >= 2N - 1: 32 for N = 16, 64 for N = 17
         spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))
-        with pytest.raises(ValueError, match="circulant length"):
-            ode_matvec(spec, [BandWindow(16), BandWindow(17)])
-        with pytest.raises(ValueError, match="circulant length"):
-            ode_matvec(spec, [BandWindow(12), BandWindow(13)], "collocation")
+        for mode in ("finite_section", "collocation"):
+            with pytest.raises(ValueError, match="circulant length"):
+                ode_matvec(spec, [BandWindow(16), BandWindow(17)], mode)
 
     def test_unknown_mode_rejected(self):
         spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))

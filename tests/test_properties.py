@@ -2,10 +2,12 @@
 slice windowing against index-array reads, the Toeplitz entries against their definition,
 the regulator shift against the symbol values it must avoid, the symbol scan bound
 against a brute-force scan, the jump check's winding
-and minimum modulus against Rouche's theorem, and solve_ode and solve_rhp against dense
-LU over random operators of the paper's class."""
+and minimum modulus against Rouche's theorem, solve_ode and solve_rhp against dense
+LU over random operators of the paper's class, and stacked solves against their windows'
+own solves."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,9 +32,11 @@ from circspec import (  # noqa: E402
     project,
     sobolev_norm,
     solve_ode,
+    solve_ode_windows,
     solve_rhp,
+    solve_rhp_windows,
 )
-from circspec.operators import _symbol_reach, _toeplitz_entries  # noqa: E402
+from circspec.operators import _symbol_reach, _toeplitz_entries, circulant_length  # noqa: E402
 from circspec.problems import rhp_jump  # noqa: E402
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -315,3 +319,61 @@ def test_solve_rhp_agrees_with_dense_solve(case):
     w = BandWindow(n)
     rhs = project(h, w).coeffs if mode == "finite_section" else interpolate(evaluate_on_grid(h, n)).coeffs
     _check_against_dense(lambda: solve_rhp(jump, w, mode=mode).u.coeffs, assemble_sie(jump, w, mode).entries, rhs)
+
+
+
+@st.composite
+def stacked_cases(draw):
+    """(solve one window, solve a group, dense compression, the group, vanishing): an ode_cases or
+    rhp_cases problem and mode, and up to four windows, the largest of the case's N, that share its
+    circulant length.  One ODE case in five replaces the operator by d^2 + m0^2, whose symbol
+    vanishes at m = +-m0, on data that is nonzero there; vanishing says so."""
+    vanishing = False
+    if draw(st.booleans()):
+        spec, f, n, mode = draw(ode_cases())
+        if draw(st.integers(0, 4)) == 0:
+            spec, vanishing = DiffOpSpec.from_orders({2: 1.0, 0: float(draw(st.integers(0, n // 2)) ** 2)}), True
+        assemble = assemble_finite_section_ode if mode == "finite_section" else assemble_collocation_ode
+        solvers = partial(solve_ode, spec, f, mode=mode), partial(solve_ode_windows, spec, f, mode=mode)
+        dense = partial(assemble, spec)
+    else:
+        jump, _, n, mode = draw(rhp_cases())
+        solvers = partial(solve_rhp, jump, mode=mode), partial(solve_rhp_windows, jump, mode=mode)
+        dense = partial(assemble_sie, jump, mode=mode)
+    share = [m for m in range(1, n) if circulant_length(m) == circulant_length(n)]
+    ns = draw(st.lists(st.sampled_from(share), max_size=3, unique=True)) if share else []
+    return *solvers, dense, [BandWindow(m) for m in sorted(ns) + [n]], vanishing
+
+
+def _outcome(solve):
+    """The coefficients of each solution solve() returns, or the SolveError it raised."""
+    try:
+        return [getattr(sol, "u", sol).coeffs for sol in solve()]  # an RHSolution holds its density as u
+    except SolveError as exc:
+        return exc
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(case=stacked_cases())
+def test_stacked_rows_match_their_own_solves(case):
+    # Each row of the stack is its own window's solve to 1e-13 cond, relative, with cond
+    # the window's dense condition, the bound _check_against_dense puts on LU.  Below a
+    # condition of 1e8 both must succeed.  Beyond it a residual or condition estimate
+    # near its bound may round to a pass in one solve and a fail in the other, so only
+    # rows that both return are compared.  A vanishing symbol is decided exactly, before
+    # any GMRES step: the stack raises what the first failing window raises.
+    one, group, dense, windows, vanishing = case
+    conds = []
+    for w in windows:
+        sigma = np.linalg.svd(dense(w).entries, compute_uv=False)
+        conds.append(sigma[0] / sigma[-1] if sigma[-1] > 0.0 else np.inf)
+    singles = _outcome(lambda: [one(w) for w in windows])
+    rows = _outcome(lambda: group(windows))
+    if vanishing and isinstance(singles, SolveError):
+        assert str(rows) == str(singles)
+        return
+    if max(conds) < 1e8:
+        assert isinstance(rows, list) and isinstance(singles, list)
+    if isinstance(rows, list) and isinstance(singles, list):
+        for got, want, cond in zip(rows, singles, conds):
+            assert np.linalg.norm(got - want) <= 1e-13 * cond * np.linalg.norm(want)

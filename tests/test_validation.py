@@ -14,6 +14,7 @@ from circspec import (
     evaluate_on_grid,
     truncation_coincidence,
 )
+from circspec.linsolve import solve_checked
 from circspec.operators import OperatorMatrix
 
 ONE = CoeffVec.from_dict({0: 1.0})
@@ -45,10 +46,13 @@ def report(values, ell=2.0) -> EigenReport:
     (lambda: evaluate_on_grid(ONE, 0), ValueError, "grid size must be >= 1, got 0"),
     (lambda: ExperimentConfig(experiment="x", alpha=1.0, N_list=[8], N_ref=16, output_path="x.csv"), ConfigError,
      "unknown experiment 'x'"),
+    # row 1's operator is zero: with one name per row the stack raises "condition estimate inf"
+    (lambda: solve_checked(lambda v: np.array([[1.0], [0.0], [2.0]]) * v, np.ones((3, 4)), context=["only"]),
+     ValueError, "context must give one name per row: 3 rows, 1 names"),
 ], ids=["q-above-k", "const-coeffs-length", "zero-leading-coefficient", "variable-not-coeffvec",
         "variable-order-k", "from-orders-empty", "operator-matrix-shape", "eigenvalue-count",
         "eigenvalues-descending", "distances-without-ell", "tail-scan-unbounded", "from-dict-empty",
-        "padded-empty", "grid-size-zero", "unknown-experiment"])
+        "padded-empty", "grid-size-zero", "unknown-experiment", "context-per-row"])
 def test_rejects(call, exc, match):
     with pytest.raises(exc, match=match):
         call()
