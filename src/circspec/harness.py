@@ -9,11 +9,13 @@ coefficient norm for the solvers, matched eigenvalue distances for the
 spectra, reported as the largest under a modulus cap).  Each experiment
 gives the sweep one solve for a list of N.  A solver sweep, in either
 mode, takes N_list in stacks (_stacks): the windows that share a circulant
-length are solved as one GMRES on their stack, and a stack that fails is
-solved again window by window, so the first failing N is the one solving N
-by N finds.  The spectra take one N at a time.  Each experiment
-then fits a log-log slope.  Runs are deterministic: the same configuration
-at the same BLAS thread count yields byte-identical CSV output.
+length are solved as one GMRES on their stack, up to the modes and
+circulant entries of the reference window or of one STACK_MODES window,
+whichever is larger, and a stack that fails is solved again window by
+window, so the first failing N is the one solving N by N finds.  The
+spectra take one N at a time.  Each experiment then fits a log-log slope.
+Runs are deterministic: the same configuration at the same BLAS thread
+count yields byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ ERROR_FLOOR = 1e-12
 # N_ref x N_ref matrix
 MAX_SOLVER_N = 2 ** 20
 MAX_SPECTRUM_N = 4096
+# a sweep's stack may hold the modes and circulant entries of one window this
+# large even when the reference is smaller: below a few thousand modes an FFT
+# pair costs per-call overhead, not flops, so fewer, larger stacks are faster
+STACK_MODES = 4096
 
 # the one configuration schema: each experiment's entry lists exactly the keys it
 # reads, with their defaults; from_dict rejects any other key
@@ -258,18 +264,21 @@ def _stacks(cfg: ExperimentConfig) -> list[list[int]]:
 
     A solver sweep stacks each run of consecutive N that share a circulant
     length (operators.circulant_length, the same in both modes), cut so that its
-    B windows hold no more modes than the reference (B max(N) <= N_ref) and its B
-    circulants no more entries than the reference's: a stack never needs more
-    memory than the reference solve.  The spectrum experiments take one N at a time.
+    B windows hold no more modes than one window of modes = max(N_ref,
+    STACK_MODES) (B max(N) <= modes) and its B circulants no more entries than
+    that window's (B length <= circulant_length(modes)): a stack needs no more
+    memory than the reference solve or one STACK_MODES solve, whichever is
+    larger.  The spectrum experiments take one N at a time.
     """
     if cfg.experiment.startswith("spectrum"):
         return [[n] for n in cfg.N_list]
-    room = circulant_length(cfg.N_ref)
+    modes = max(cfg.N_ref, STACK_MODES)
+    room = circulant_length(modes)
     out = []
     for n in cfg.N_list:
         last = out[-1] if out else []
         size = circulant_length(n)
-        if last and circulant_length(last[0]) == size and (len(last) + 1) * n <= cfg.N_ref \
+        if last and circulant_length(last[0]) == size and (len(last) + 1) * n <= modes \
                 and (len(last) + 1) * size <= room:
             last.append(n)
         else:

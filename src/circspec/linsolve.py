@@ -10,11 +10,12 @@ The right-hand side may be a (B, n) stack of independent systems whose
 products act row by row.  They are solved in lockstep: each step applies
 one product to the stack and runs one stacked Gram-Schmidt pass and one
 normalisation, while every row keeps its own scaling, Givens recurrence
-(on Python scalars), stopping test, condition gate, residual check and
-refinement.  A row that has converged is frozen: its basis vectors are
-zero from then on.  GMRES keeps k + 1 basis vectors per row after k steps,
-so a solve's memory is O(steps B n): the workspace starts at FIRST_STEPS
-steps and doubles when full.
+(on Python scalars), stopping test, condition gate, residual check,
+refinement and step cap, min(its own size, MAX_ITER): a row that pads a
+smaller system with zeros stops where that system would stop alone.  A row that has converged, or reached its cap, is frozen: its basis
+vectors are zero from then on.  GMRES keeps k + 1 basis vectors per row
+after k steps, so a solve's memory is O(steps B n): the workspace starts at
+FIRST_STEPS steps and doubles when full.
 """
 
 from __future__ import annotations
@@ -43,19 +44,24 @@ class SolveError(RuntimeError):
 
 def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
                   regulator: Callable[[np.ndarray], np.ndarray] | None = None,
-                  cond_cap: float = 1e12, context: str | Sequence[str] = "linear solve") -> np.ndarray:
+                  cond_cap: float = 1e12, context: str | Sequence[str] = "linear solve",
+                  sizes: Sequence[int] | None = None) -> np.ndarray:
     """Solve apply(x) = rhs by GMRES on apply(R y) = rhs; return x = R y.
 
     rhs is one right-hand side of shape (n,) or a (B, n) stack of them;
     apply and regulator map arrays of rhs's shape to arrays of that shape,
     row by row.  regulator is the product y -> R y; None stands for the
     identity.  context names the solve in errors: one string, or one per
-    row (ValueError otherwise).  The condition estimate of a row is
+    row (ValueError otherwise).  sizes gives each row's own number of
+    unknowns, for a stack whose rows hold smaller systems padded with
+    zeros: one integer in 1..n per row (ValueError otherwise); None gives
+    every row the stack's n.  The condition estimate of a row is
     sigma_max / sigma_min of its Arnoldi Hessenberg matrix of the regulated
     operator x -> apply(R x), gated against cond_cap.
 
     GMRES stops a row when its residual estimate falls below GMRES_TOL
-    relative to its right-hand side, or after min(n, MAX_ITER) iterations.
+    relative to its right-hand side, or after min(size, MAX_ITER)
+    iterations, with size the row's own number of unknowns.
     When the estimate was met but the true residual exceeds 1e-10 relative
     to the right-hand side, one more GMRES pass solves for the residual and
     corrects x (iterative refinement).  Raises SolveError naming the
@@ -70,6 +76,9 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     contexts = [context] * len(rows) if isinstance(context, str) else list(context)
     if len(contexts) != len(rows):
         raise ValueError(f"context must give one name per row: {len(rows)} rows, {len(contexts)} names")
+    sizes = [shape[-1]] * len(rows) if sizes is None else list(sizes)
+    if len(sizes) != len(rows) or not all(1 <= size <= shape[-1] for size in sizes):
+        raise ValueError(f"sizes must give one size in 1..{shape[-1]} per row: {len(rows)} rows, got {sizes}")
     tops = np.abs(rows.view(float)).max(axis=1, initial=0.0).tolist()
     if not any(tops):
         return np.zeros(shape, dtype=complex)
@@ -89,7 +98,7 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     regulate = regulator if regulator is not None else (lambda y: y)
     product, reg = on_rows(apply), on_rows(regulate)
     op = on_rows(lambda y: apply(regulate(y)))
-    y, cond, steps, met = _gmres(op, rows, beta, contexts)
+    y, cond, steps, met = _gmres(op, rows, beta, contexts, sizes)
     for c, where in zip(cond, contexts):
         if not math.isfinite(c) or c > cond_cap:
             raise SolveError(
@@ -102,7 +111,7 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     refine = [rb > RESID_TOL * bb and mb for rb, bb, mb in zip(resid, beta, met)]
     if any(refine):
         # rows that need no refinement enter with beta 0, so they take no step and add zero
-        dy, _, more, _ = _gmres(op, r, [rb if fb else 0.0 for rb, fb in zip(resid, refine)], contexts)
+        dy, _, more, _ = _gmres(op, r, [rb if fb else 0.0 for rb, fb in zip(resid, refine)], contexts, sizes)
         x = x + reg(dy)
         resid = _norms(product(x) - rows)
         steps = [s + m for s, m in zip(steps, more)]
@@ -121,8 +130,10 @@ def _norms(rows: np.ndarray) -> list[float]:
 
 
 def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[float],
-           context: list[str]) -> tuple[np.ndarray, list[float], list[int], list[bool]]:
+           context: list[str], sizes: list[int]) -> tuple[np.ndarray, list[float], list[int], list[bool]]:
     """GMRES on op(y) = rhs from y = 0 for a (B, n) stack, with beta[b] = |rhs[b]|.
+
+    Row b takes at most min(sizes[b], MAX_ITER) Arnoldi steps.
 
     Returns y and, per row, sigma_max / sigma_min of the Hessenberg matrix,
     the Arnoldi steps and whether the residual estimate fell below
@@ -130,7 +141,8 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[f
     and ratio inf; a row with beta 0 takes no step and gets y = 0 and ratio 1.
     """
     count, n = rhs.shape
-    m = min(n, MAX_ITER)
+    limits = [min(size, MAX_ITER) for size in sizes]
+    m = max(limits)
     cap = min(m, FIRST_STEPS)
     basis = np.empty((count, cap + 1, n), dtype=complex)
     # per row: the columns of the Hessenberg matrix, the Givens rotations that
@@ -181,6 +193,8 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[f
             if abs(gi[k + 1]) <= GMRES_TOL * beta[i] or hn[i] == 0.0:
                 met[i] = True
                 live.remove(i)
+            elif k + 1 == limits[i]:
+                live.remove(i)  # the row's own step cap: it stops unconverged, as it would alone
             else:
                 scale[i] = 1.0 / hn[i]
         if live:

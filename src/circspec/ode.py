@@ -71,7 +71,8 @@ def solve_ode_windows(spec: DiffOpSpec, f: CoeffVec, windows, mode: str = "finit
         row[s] = data
     # one window is solved as a vector: its products then skip broadcasting against a stack of one
     x = solve_checked(ode_matvec(spec, windows, mode), rhs if len(windows) > 1 else rhs[0],
-                      ode_regulator(spec, windows), cond_cap=cond_cap, context=contexts).reshape(rhs.shape)
+                      ode_regulator(spec, windows), cond_cap=cond_cap, context=contexts,
+                      sizes=[w.N for w in windows]).reshape(rhs.shape)
     return [CoeffVec(-w.n_minus, row[s]) for row, s, w in zip(x, slots, windows)]
 
 

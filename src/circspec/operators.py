@@ -450,7 +450,8 @@ def window_slots(windows) -> tuple[BandWindow, list[slice]]:
 
 
 def _group(w: Window) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray | None]:
-    """(largest window, the windows, (B, N) mask of each row's slots) for a window or group.
+    """(largest window, the windows, (B, N) boolean mask of the slots off each row's window)
+    for a window or group.
 
     The mask is None when every window is the largest, so nothing spills
     off a row's window.
@@ -459,11 +460,11 @@ def _group(w: Window) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray | 
     big, slots = window_slots(windows)
     if all(v.N == big.N for v in windows):
         return big, windows, None
-    # complex, so that masking a product casts nothing
-    mask = np.zeros((len(windows), big.N), dtype=complex)
-    for row, s in zip(mask, slots):
-        row[s] = 1.0
-    return big, windows, mask
+    # boolean, a sixteenth of a complex mask: a stack keeps one per product
+    spill = np.ones((len(windows), big.N), dtype=bool)
+    for row, s in zip(spill, slots):
+        row[s] = False
+    return big, windows, spill
 
 
 def _multiplication(coeffs: tuple, w: Window, mode: str) -> tuple[BandWindow, Callable[[np.ndarray], np.ndarray]]:
@@ -475,10 +476,10 @@ def _multiplication(coeffs: tuple, w: Window, mode: str) -> tuple[BandWindow, Ca
     circulant_length (Chan & Ng, SIAM Rev. 1996) and applied by one batched
     FFT each way.  w is one window or a group that shares that length; a
     group's rows take their own symbols on the largest window's slots,
-    masked back to their own windows.
+    and what spills off a row's own window is zeroed in place.
     """
     check_mode(mode)
-    big, windows, mask = _group(w)
+    big, windows, spill = _group(w)
     size = circulant_length(big.N)
     if any(circulant_length(v.N) != size for v in windows):
         raise ValueError("a group's windows must share one circulant length")
@@ -495,7 +496,9 @@ def _multiplication(coeffs: tuple, w: Window, mode: str) -> tuple[BandWindow, Ca
         spectra *= symbols
         total = spectra.sum(axis=-2)
         out = np.fft.ifft(total, out=total)[..., :big.N]
-        return out if mask is None else mask * out
+        if spill is not None:
+            np.copyto(out, 0, where=spill)
+        return out
     return big, product
 
 

@@ -81,7 +81,8 @@ def solve_rhp_windows(jump: JumpSpec, windows, mode: str = "finite_section",
             row[s] = interpolate(evaluate_on_grid(h, w.N)).coeffs
     # one window is solved as a vector: its products then skip broadcasting against a stack of one
     x = solve_checked(sie_matvec(jump, windows, mode), rhs if len(windows) > 1 else rhs[0],
-                      sie_regulator(jump, windows, mode), cond_cap=cond_cap, context=contexts).reshape(rhs.shape)
+                      sie_regulator(jump, windows, mode), cond_cap=cond_cap, context=contexts,
+                      sizes=[w.N for w in windows]).reshape(rhs.shape)
     return [RHSolution(u=CoeffVec(-w.n_minus, row[s]), window=w) for row, s, w in zip(x, slots, windows)]
 
 

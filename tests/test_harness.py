@@ -273,7 +273,7 @@ class TestRunExperiment:
         f = CoeffVec.from_dict({m: 1.0 + 0.1j * m for m in range(-12, 13)})
         cfg = small_ode3(tmp_path, N_list=[12, 16, 17, 18, 19, 20, 24, 32], N_ref=129, mode=mode)
         stacks = harness._stacks(cfg)
-        assert [17, 18, 19, 20, 24] in stacks
+        assert [17, 18, 19, 20, 24, 32] in stacks
 
         def solve(p, ns):
             if ns == [cfg.N_ref]:
@@ -299,6 +299,25 @@ class TestRunExperiment:
             errs[n_ref] = [e for _, e in run_experiment(cfg).rows]
         for a, b in zip(errs[1501], errs[2001]):
             assert abs(a - b) / b < 0.05
+
+
+class TestStacks:
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    @pytest.mark.parametrize("experiment", ["ode3", "rhp"])
+    def test_stacks_fill_the_budget(self, tmp_path, experiment, mode):
+        # below N_ref 4096 a stack may hold one 4096-mode window's modes and circulant
+        # entries (8 windows of circulant length 1024); from 4096 on, the reference's
+        def stacks(**raw):
+            return harness._stacks(ExperimentConfig.from_dict(
+                {"experiment": experiment, "mode": mode, "output_path": str(tmp_path / "o.csv"), **raw}))
+
+        assert stacks(N_list=list(range(32, 513, 32)), N_ref=641) == [
+            [32], [64], [96, 128], [160, 192, 224, 256], list(range(288, 513, 32))]
+        shipped = ExperimentConfig.from_json_file(str(ROOT / "configs" / f"{experiment}.json"))
+        assert stacks(N_list=shipped.N_list, N_ref=shipped.N_ref) == [
+            [40, 60], [80, 100, 120], list(range(140, 241, 20)), list(range(260, 401, 20))]
+        assert stacks(N_list=[131073, 163840, 196608, 229376, 262144], N_ref=2 ** 20) == [
+            [131073, 163840, 196608, 229376], [262144]]
 
 
 class TestCli:

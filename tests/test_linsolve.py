@@ -1,5 +1,6 @@
 """Tests for the regulated GMRES solve behind solve_ode and solve_rhp."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -25,7 +26,7 @@ from circspec import (
     solve_rhp,
     solve_rhp_windows,
 )
-from circspec.harness import _stacks
+from circspec.harness import STACK_MODES, _stacks
 from circspec.linsolve import MAX_ITER, solve_checked
 from circspec.problems import rhp_jump, third_order_ode
 
@@ -138,6 +139,43 @@ class TestSolveChecked:
             assert stacked[0][0][b] == pytest.approx(passes[0][0][0], rel=1e-14)
             assert sum(steps[b] for _, steps in stacked) == sum(steps[0] for _, steps in passes)
 
+    def test_stack_row_stops_at_its_own_step_cap(self, monkeypatch):
+        # a 6-unknown system: e_j -> (1 + 0.5i) e_{j+1}, and e_5 onto e_1..e_5, so its
+        # right-hand side e_0 lies outside the range and GMRES cannot converge.  Its
+        # Hessenberg matrix is singular to working precision, so the condition gate is
+        # opened to reach the residual check.  Alone it stops after min(6, MAX_ITER)
+        # steps; padded to 40 slots in a stack with a 40-unknown row (40 steps), it must
+        # stop there too, not after the stack's min(40, MAX_ITER)
+        steps = []
+        gmres = circspec.linsolve._gmres
+
+        def recording(*args):
+            out = gmres(*args)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(circspec.linsolve, "_gmres", recording)
+
+        def small(x):
+            out = np.zeros_like(x)
+            out[..., 1:6] = (1 + 0.5j) * x[..., :5] + np.linspace(0.3, 1.1, 5) * (1 - 0.7j) * x[..., 5:6]
+            return out
+
+        d = np.linspace(1.0, 40.0, 40) + 0j
+        f = np.zeros((2, 40), dtype=complex)
+        f[0, 0], f[1] = 1.0, 1.0
+        failures = []
+        for solve in (lambda: solve_checked(small, f[0, :6], cond_cap=np.inf, context="small"),
+                      lambda: solve_checked(lambda v: np.stack([small(v[0]), d * v[1]]), f, cond_cap=np.inf,
+                                            context=["small", "big"], sizes=[6, 40])):
+            with pytest.raises(SolveError) as failure:
+                solve()
+            failures.append(str(failure.value))
+        assert steps == [[6], [6, 40]]
+        for text in failures:
+            assert re.fullmatch(r"small: residual \S+ exceeds 1e-10 of the right-hand side after 6 GMRES iterations",
+                                text)
+
     def test_stack_names_its_first_failing_row(self):
         # rows 1 and 2 are singular; the error names row 1's context
         d = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]], dtype=complex)
@@ -151,32 +189,45 @@ class TestSolveChecked:
         assert np.array_equal(x[0], np.zeros(2)) and np.allclose(x[1], [1.0, 2.0], rtol=1e-15)
 
 
-@pytest.mark.parametrize("solver, mode", [("ode3", "finite_section"), ("rhp", "finite_section"),
-                                          ("ode3", "collocation"), ("rhp", "collocation")],
-                         ids=["ode3", "rhp", "ode3-collocation", "rhp-collocation"])
-def test_stacked_sweep_peaks_below_reference(solver, mode):
-    # the harness cuts a sweep's stacks so that none needs more memory than the reference
+# bytes a stack may use per row beyond the budget (see test_stacked_sweep_peaks_below_reference)
+ROW_ALLOWANCE = 4096
+# the shipped configs, and 32 windows of one circulant length, which the budget cuts into 4 stacks
+_SWEEPS = {"shipped": None, "one-length": dict(N_list=list(range(264, 513, 8)), N_ref=641)}
+_CASES = [(solver, mode, sweep) for sweep in _SWEEPS for mode in ("finite_section", "collocation")
+          for solver in ("ode3", "rhp")]
+
+
+@pytest.mark.parametrize("solver, mode, sweep", _CASES, ids=[
+    "-".join(v for v in case if v not in ("finite_section", "shipped")) for case in _CASES])
+def test_stacked_sweep_peaks_below_reference(solver, mode, sweep):
+    # the harness cuts a sweep's stacks so that none needs more memory than the larger of
+    # the reference solve and one STACK_MODES-mode solve of the same problem, up to
+    # ROW_ALLOWANCE per row: each row has its own Python bookkeeping (its context,
+    # Hessenberg columns and result) and a byte per slot in each product's spill mask
     cfg = ExperimentConfig.from_json_file(str(CONFIGS / f"{solver}.json"))
-    windows = [[BandWindow(n) for n in ns] for ns in _stacks(replace(cfg, mode=mode))]
+    cfg = replace(cfg, mode=mode, **(_SWEEPS[sweep] or {}))
+    windows = [[BandWindow(n) for n in ns] for ns in _stacks(cfg)]
     assert max(map(len, windows)) > 1
     if solver == "ode3":
         problem = third_order_ode(cfg.alpha, cfg.N_ref)
-        reference = partial(solve_ode, *problem, BandWindow(cfg.N_ref), mode=mode)
+        one = partial(solve_ode, *problem, mode=mode)
         stack = partial(solve_ode_windows, *problem, mode=mode)
     else:
         jump = rhp_jump(cfg.alpha, cfg.epsilon, cfg.N_ref)
-        reference = partial(solve_rhp, jump, BandWindow(cfg.N_ref), mode=mode)
+        one = partial(solve_rhp, jump, mode=mode)
         stack = partial(solve_rhp_windows, jump, mode=mode)
-    reference()  # builds what is kept per operator, such as the ODE low block
+    one(BandWindow(cfg.N_ref))  # builds what is kept per operator, such as the ODE low block
     peaks = []
-    for solve in [reference] + [partial(stack, ws) for ws in windows]:
+    for solve in [partial(one, BandWindow(n)) for n in (cfg.N_ref, STACK_MODES)] + \
+            [partial(stack, ws) for ws in windows]:
         tracemalloc.start()
         try:
             solve()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert max(peaks[1:]) < peaks[0]
+    for peak, ws in zip(peaks[2:], windows):
+        assert peak <= max(peaks[:2]) + ROW_ALLOWANCE * len(ws), [w.N for w in ws]
 
 
 @pytest.mark.parametrize("solver", ["ode3", "rhp"])

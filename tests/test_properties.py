@@ -3,11 +3,13 @@ slice windowing against index-array reads, the Toeplitz entries against their de
 the regulator shift against the symbol values it must avoid, the symbol scan bound
 against a brute-force scan, the jump check's winding
 and minimum modulus against Rouche's theorem, solve_ode and solve_rhp against dense
-LU over random operators of the paper's class, and stacked solves against their windows'
-own solves."""
+LU over random operators of the paper's class, stacked solves against their windows'
+own solves, the harness's stacks against their budget, and stacked sweeps against
+window-by-window sweeps."""
 
 import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from circspec import (  # noqa: E402
     BandWindow,
     CoeffVec,
     DiffOpSpec,
+    ExperimentConfig,
     JumpSpec,
     SolveError,
     align_windows,
@@ -28,6 +31,7 @@ from circspec import (  # noqa: E402
     choose_zeta,
     eigenvalues_self_adjoint,
     evaluate_on_grid,
+    harness,
     interpolate,
     project,
     sobolev_norm,
@@ -345,6 +349,12 @@ def stacked_cases(draw):
     return *solvers, dense, [BandWindow(m) for m in sorted(ns) + [n]], vanishing
 
 
+def _condition(a):
+    """sigma_max / sigma_min of a, inf when a is singular."""
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return sigma[0] / sigma[-1] if sigma[-1] > 0.0 else np.inf
+
+
 def _outcome(solve):
     """The coefficients of each solution solve() returns, or the SolveError it raised."""
     try:
@@ -363,10 +373,7 @@ def test_stacked_rows_match_their_own_solves(case):
     # rows that both return are compared.  A vanishing symbol is decided exactly, before
     # any GMRES step: the stack raises what the first failing window raises.
     one, group, dense, windows, vanishing = case
-    conds = []
-    for w in windows:
-        sigma = np.linalg.svd(dense(w).entries, compute_uv=False)
-        conds.append(sigma[0] / sigma[-1] if sigma[-1] > 0.0 else np.inf)
+    conds = [_condition(dense(w).entries) for w in windows]
     singles = _outcome(lambda: [one(w) for w in windows])
     rows = _outcome(lambda: group(windows))
     if vanishing and isinstance(singles, SolveError):
@@ -376,4 +383,74 @@ def test_stacked_rows_match_their_own_solves(case):
         assert isinstance(rows, list) and isinstance(singles, list)
     if isinstance(rows, list) and isinstance(singles, list):
         for got, want, cond in zip(rows, singles, conds):
+            assert np.linalg.norm(got - want) <= 1e-13 * cond * np.linalg.norm(want)
+
+
+@st.composite
+def stacked_sizes(draw):
+    """(N_list, N_ref): up to 40 ascending N below 2^k for a random k in 1..19, and an N_ref above them."""
+    top = 2 ** draw(st.integers(1, 19))
+    ns = sorted(set(draw(st.lists(st.integers(1, top), min_size=1, max_size=40))))
+    return ns, draw(st.integers(ns[-1] + 1, 2 ** 20))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(sizes=stacked_sizes(), mode=st.sampled_from(["finite_section", "collocation"]))
+def test_stacks_share_a_length_within_the_budget(sizes, mode):
+    # the stacks cut N_list, in order, into runs of one circulant length whose B windows hold
+    # no more modes and circulant entries than one window of max(N_ref, 4096) modes; each
+    # stack ends only where the next N would break one of those rules
+    ns, n_ref = sizes
+    cfg = ExperimentConfig.from_dict({"experiment": "ode3", "N_list": ns, "N_ref": n_ref, "mode": mode,
+                                      "output_path": "unused.csv"})
+    stacks = harness._stacks(cfg)
+    modes = max(n_ref, 4096)
+    assert [n for stack in stacks for n in stack] == ns
+    for stack in stacks:
+        assert len({circulant_length(n) for n in stack}) == 1
+        assert len(stack) * stack[-1] <= modes
+        assert len(stack) * circulant_length(stack[0]) <= circulant_length(modes)
+    for stack, after in zip(stacks, stacks[1:]):
+        grown = len(stack) + 1
+        assert circulant_length(after[0]) != circulant_length(stack[0]) or grown * after[0] > modes \
+            or grown * circulant_length(after[0]) > circulant_length(modes)
+
+
+@st.composite
+def sweep_cases(draw):
+    """(experiment, build, solve, dense compression, N_list, mode): an ode_cases or rhp_cases
+    problem and mode, as run_experiment hands it to _sweep, with N_list up to six ascending N
+    that end at the case's N."""
+    if draw(st.booleans()):
+        spec, f, n, mode = draw(ode_cases())
+        assemble = assemble_finite_section_ode if mode == "finite_section" else assemble_collocation_ode
+        case = ("ode3", lambda: (spec, f),
+                lambda p, ns: solve_ode_windows(*p, [BandWindow(m) for m in ns], mode=mode), partial(assemble, spec))
+    else:
+        jump, _, n, mode = draw(rhp_cases())
+        case = ("rhp", lambda: jump,
+                lambda p, ns: [sol.u for sol in solve_rhp_windows(p, [BandWindow(m) for m in ns], mode=mode)],
+                partial(assemble_sie, jump, mode=mode))
+    ns = sorted(set(draw(st.lists(st.integers(1, n), max_size=5))) | {n})
+    return *case, ns, mode
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(case=sweep_cases())
+def test_stacked_sweep_rows_match_the_window_by_window_sweep(case):
+    # _sweep over _stacks gives each N the row the window-by-window sweep gives it, to
+    # 1e-13 cond relative, with cond the window's dense condition; below a condition of
+    # 1e8 (reference included) both sweeps succeed, and beyond it only rows that both
+    # return are compared, as in test_stacked_rows_match_their_own_solves
+    experiment, build, solve, dense, ns, mode = case
+    cfg = ExperimentConfig.from_dict({"experiment": experiment, "N_list": ns, "N_ref": ns[-1] + 1, "mode": mode,
+                                      "output_path": "unused.csv"})
+    conds = [_condition(dense(BandWindow(n)).entries) for n in ns + [cfg.N_ref]]
+    stacked = _outcome(lambda: harness._sweep(build, solve, lambda u, ref: u, cfg))
+    with mock.patch.object(harness, "_stacks", lambda cfg: [[n] for n in cfg.N_list]):
+        single = _outcome(lambda: harness._sweep(build, solve, lambda u, ref: u, cfg))
+    if max(conds) < 1e8:
+        assert isinstance(stacked, list) and isinstance(single, list)
+    if isinstance(stacked, list) and isinstance(single, list):
+        for got, want, cond in zip(stacked, single, conds):
             assert np.linalg.norm(got - want) <= 1e-13 * cond * np.linalg.norm(want)
