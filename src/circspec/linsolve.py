@@ -6,8 +6,9 @@ A R y = f, gates the condition estimate of A R and returns x = R y.  For
 the operators solved here A R is the identity plus a compact operator, so
 its condition and the iteration count stay flat as the window grows.
 
-The right-hand side may be a (B, n) stack of independent systems whose
-products act row by row.  They are solved in lockstep: each step applies
+The right-hand side is a (B, n) stack of independent systems whose
+products act row by row; one right-hand side of shape (n,) is solved as a
+stack of one.  The rows are solved in lockstep: each step applies
 one product to the stack and runs one stacked Gram-Schmidt pass and one
 normalisation, while every row keeps its own scaling, Givens recurrence
 (on Python scalars), stopping test, condition gate, residual check,
@@ -48,9 +49,11 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
                   sizes: Sequence[int] | None = None) -> np.ndarray:
     """Solve apply(x) = rhs by GMRES on apply(R y) = rhs; return x = R y.
 
-    rhs is one right-hand side of shape (n,) or a (B, n) stack of them;
-    apply and regulator map arrays of rhs's shape to arrays of that shape,
-    row by row.  regulator is the product y -> R y; None stands for the
+    rhs is one right-hand side of shape (n,) or a (B, n) stack of them,
+    with n >= 1 (ValueError otherwise, naming the shape); the result has
+    rhs's shape.  apply and regulator map (B, n) stacks to (B, n) stacks,
+    row by row: one right-hand side reaches them as a stack of one.
+    regulator is the product y -> R y; None stands for the
     identity.  context names the solve in errors: one string, or one per
     row (ValueError otherwise).  sizes gives each row's own number of
     unknowns, for a stack whose rows hold smaller systems padded with
@@ -72,6 +75,8 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     row, is solved by zero without iterating.
     """
     shape = np.shape(rhs)
+    if len(shape) not in (1, 2) or shape[-1] < 1:
+        raise ValueError(f"rhs must have shape (n,) or (B, n) with n >= 1, got {shape}")
     rows = np.ascontiguousarray(rhs, dtype=complex).reshape(-1, shape[-1])
     contexts = [context] * len(rows) if isinstance(context, str) else list(context)
     if len(contexts) != len(rows):
@@ -90,14 +95,11 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     e = np.array([math.frexp(top)[1] for top in tops], dtype=np.intc)[:, None]
     rows = np.ldexp(rows.view(float), -e).view(complex)
     beta = _norms(rows)
-
-    def on_rows(f):
-        # GMRES works on (B, n) stacks: a single right-hand side is a stack of one
-        return f if len(shape) == 2 else (lambda x: f(x[0])[None])
-
     regulate = regulator if regulator is not None else (lambda y: y)
-    product, reg = on_rows(apply), on_rows(regulate)
-    op = on_rows(lambda y: apply(regulate(y)))
+
+    def op(y):
+        return apply(regulate(y))
+
     y, cond, steps, met = _gmres(op, rows, beta, contexts, sizes)
     for c, where in zip(cond, contexts):
         if not math.isfinite(c) or c > cond_cap:
@@ -105,15 +107,15 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
                 f"{where}: condition estimate {c:.3e} exceeds cap {cond_cap:.1e} "
                 "(operator not invertible at this truncation, or truncation too small)"
             )
-    x = reg(y)
-    r = rows - product(x)
+    x = regulate(y)
+    r = rows - apply(x)
     resid = _norms(r)
     refine = [rb > RESID_TOL * bb and mb for rb, bb, mb in zip(resid, beta, met)]
     if any(refine):
         # rows that need no refinement enter with beta 0, so they take no step and add zero
         dy, _, more, _ = _gmres(op, r, [rb if fb else 0.0 for rb, fb in zip(resid, refine)], contexts, sizes)
-        x = x + reg(dy)
-        resid = _norms(product(x) - rows)
+        x = x + regulate(dy)
+        resid = _norms(apply(x) - rows)
         steps = [s + m for s, m in zip(steps, more)]
     for rb, bb, s, where in zip(resid, beta, steps, contexts):
         if rb > RESID_TOL * bb:

@@ -8,7 +8,9 @@ both embed in the power-of-two circulant of circulant_length; they differ
 only in the mode-difference row (_difference_row).  The products and
 regulators also act on a group of windows that share a circulant_length:
 a (B, N) stack laid out by window_slots on the modes of the largest
-window, each row masked back to its own window.
+window, each row masked back to its own window.  window_data lays a
+solve's data out on the same stack: the data's compression to each
+window, read from the same _difference_row at the differences m - 0.
 
 ode_regulator and sie_regulator are the solvers' right regulators, each
 returned as the product y -> R y.  ode_regulator is the only code that
@@ -30,8 +32,9 @@ i - n_minus, the same map on both sides.  Every dense compression of a
 multiplication is the Toeplitz matrix of one row, _difference_row, which
 gives the multiplier's entry for each mode difference 1-N..N-1: its
 coefficients for the finite section, and its coefficients folded mod N
-for collocation.  The circulant product embeds the same row, so
-_difference_row is the one place that knows what each compression means.
+for collocation.  The circulant product embeds the same row, and
+window_data reads it for the data, so _difference_row is the one place
+that knows what each compression means.
 The eigensolver reads the finite-section compression through
 _compression_entries, which builds a real compression as float64, without
 a complex N x N.
@@ -70,6 +73,7 @@ __all__ = [
     "sie_regulator",
     "circulant_length",
     "window_slots",
+    "window_data",
 ]
 
 MODES = ("finite_section", "collocation")
@@ -449,6 +453,23 @@ def window_slots(windows) -> tuple[BandWindow, list[slice]]:
     return big, [slice(big.n_minus - v.n_minus, big.n_minus + v.n_plus + 1) for v in windows]
 
 
+def window_data(h: CoeffVec, windows, mode: str) -> tuple[np.ndarray, list[slice]]:
+    """h compressed to each window of a group, as their (B, N) stack laid out by window_slots,
+    and each window's slots.
+
+    Row b holds _difference_row(h, N_b, mode) at the differences m - 0 for the
+    modes m of window b: h's coefficients there for the finite section
+    (project(h, w).coeffs), h folded mod N_b for collocation.  A mode that is
+    not a compression raises ValueError.
+    """
+    check_mode(mode)
+    big, slots = window_slots(windows)
+    rhs = np.zeros((len(windows), big.N), dtype=complex)
+    for row, s, w in zip(rhs, slots, windows):
+        row[s] = _difference_row(h, w.N, mode)[w.N - 1 - w.n_minus:w.N + w.n_plus]
+    return rhs, slots
+
+
 def _group(w: Window) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray | None]:
     """(largest window, the windows, (B, N) boolean mask of the slots off each row's window)
     for a window or group.
@@ -489,7 +510,8 @@ def _multiplication(coeffs: tuple, w: Window, mode: str) -> tuple[BandWindow, Ca
     for col, v in zip(cols, windows):
         for c, row in zip(col, (_difference_row(a, v.N, mode) for a in coeffs)):
             c[:v.N], c[size - v.N + 1:] = row[v.N - 1:], row[:v.N - 1]
-    symbols = np.fft.fft(cols if len(windows) > 1 else cols[0])
+    # one window's product takes vectors, a group's takes stacks
+    symbols = np.fft.fft(cols[0] if isinstance(w, BandWindow) else cols)
 
     def product(v):
         spectra = np.fft.fft(v, size)

@@ -3,7 +3,8 @@
 A sectionally analytic phi with phi(inf) = 1 and boundary jump
 phi+ = phi- g is sought as phi = 1 + Cauchy transform of a density u.  The
 density solves C+ u - (C- u) g = g - 1, which is compressed to a window,
-applied matrix-free and solved by GMRES, right-regulated by
+its right-hand side laid out by operators.window_data with the same
+compression, applied matrix-free and solved by GMRES, right-regulated by
 C+ - M(1/g) C- (operators.sie_regulator) so that, as in the ODE solve, the
 operator becomes the identity plus a compact one.  The jump arrives
 certified: JumpSpec(g) has checked once that g has no zero on the circle
@@ -24,10 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, project
+from .fourier import BandWindow, CoeffVec, evaluate_on_grid
 from .linsolve import SolveError, solve_checked
-from .operators import JumpSpec, check_mode, sie_matvec, sie_regulator, window_slots
-# not called here: bench/spans.py times the dense assembler where this module looks it up
+from .operators import JumpSpec, sie_matvec, sie_regulator, window_data
+# not called here: bench/spans.py times the dense assembler and the Fourier maps where this
+# module looks them up
+from .fourier import interpolate, project  # noqa: F401
 from .operators import assemble_sie  # noqa: F401
 
 __all__ = ["RHSolution", "solve_rhp", "solve_rhp_windows", "evaluate_phi", "jump_residual", "winding_number"]
@@ -46,7 +49,8 @@ def solve_rhp(jump: JumpSpec, w: BandWindow, mode: str = "finite_section",
     """Solve the compressed singular integral equation for the density u.
 
     The right-hand side is g - 1, truncated to the window (finite_section)
-    or interpolated from grid samples (collocation).  A jump with nonzero
+    or interpolated from the N-point grid, which folds it mod N
+    (collocation).  A jump with nonzero
     winding gives an operator of nonzero Fredholm index, which has no
     unique solution; it is rejected before solving.  The solve is
     right-regulated by operators.sie_regulator, and cond_cap bounds the
@@ -64,25 +68,16 @@ def solve_rhp_windows(jump: JumpSpec, windows, mode: str = "finite_section",
     each row is solved, checked and gated on its own window, and the first
     window that fails raises, naming its N.
     """
-    check_mode(mode)
+    # window_data checks the mode before the winding is checked
+    rhs, slots = window_data(jump._perturbations[0], windows, mode)
     contexts = [f"{mode} SIE solve at N={w.N}" for w in windows]
     if jump.winding != 0:
         raise SolveError(
             f"{contexts[0]}: condition estimate inf (jump winding number {jump.winding}, "
             "nonzero Fredholm index)"
         )
-    h = jump._perturbations[0]
-    big, slots = window_slots(windows)
-    rhs = np.zeros((len(windows), big.N), dtype=complex)
-    for row, s, w in zip(rhs, slots, windows):
-        if mode == "finite_section":
-            row[s] = project(h, w).coeffs
-        else:
-            row[s] = interpolate(evaluate_on_grid(h, w.N)).coeffs
-    # one window is solved as a vector: its products then skip broadcasting against a stack of one
-    x = solve_checked(sie_matvec(jump, windows, mode), rhs if len(windows) > 1 else rhs[0],
-                      sie_regulator(jump, windows, mode), cond_cap=cond_cap, context=contexts,
-                      sizes=[w.N for w in windows]).reshape(rhs.shape)
+    x = solve_checked(sie_matvec(jump, windows, mode), rhs, sie_regulator(jump, windows, mode),
+                      cond_cap=cond_cap, context=contexts, sizes=[w.N for w in windows])
     return [RHSolution(u=CoeffVec(-w.n_minus, row[s]), window=w) for row, s, w in zip(x, slots, windows)]
 
 

@@ -180,8 +180,9 @@ class TestRunExperiment:
         assert len(rep.rows) == 4
         assert rep.fitted_slope < -3.0
 
-    def test_determinism_byte_identical(self, tmp_path):
-        cfg = small_ode3(tmp_path)
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_determinism_byte_identical(self, tmp_path, mode):
+        cfg = small_ode3(tmp_path, mode=mode)
         outs = []
         for name in ("a.csv", "b.csv"):
             rep = run_experiment(cfg)

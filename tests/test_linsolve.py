@@ -39,7 +39,7 @@ class TestSolveChecked:
         n = 60
         a = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = solve_checked(lambda v: a @ v, f)
+        x = solve_checked(lambda v: np.matvec(a, v), f)
         assert np.linalg.norm(x - np.linalg.solve(a, f)) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("n", [16, 40])
@@ -60,7 +60,7 @@ class TestSolveChecked:
         rng = np.random.default_rng(7)
         a = np.eye(16) + 0.2 * rng.standard_normal((16, 16)) / 4.0
         f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        x = solve_checked(lambda v: a @ v, scale * f)
+        x = solve_checked(lambda v: np.matvec(a, v), scale * f)
         assert np.linalg.norm(x / scale - np.linalg.solve(a, f)) <= 1e-13 * np.linalg.norm(x / scale)
 
     def test_singular_operator_reports_condition(self):
@@ -96,6 +96,21 @@ class TestSolveChecked:
         f[0] = 1.0
         with pytest.raises(SolveError, match=f"residual .* after {MAX_ITER} GMRES iterations"):
             solve_checked(lambda v: np.roll(v, 1), f)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7)])
+    def test_callables_see_only_stacks(self, shape):
+        # apply and regulator take (B, n) stacks, a vector right-hand side too, and
+        # the solution comes back in the right-hand side's shape
+        seen = []
+
+        def spy(scale):
+            return lambda v: seen.append(v.ndim) or scale * v
+
+        d = np.linspace(1.0, 3.0, 7)
+        f = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) + 0.5j
+        x = solve_checked(spy(d), f, spy(1.0 / np.sqrt(d)))
+        assert x.shape == shape and set(seen) == {2}
+        assert np.allclose(x, f / d, rtol=1e-13)
 
     def test_zero_rhs_returns_zero(self):
         x = solve_checked(lambda v: v, np.zeros(5, dtype=complex))

@@ -18,6 +18,7 @@ from circspec import (
     assemble_sie,
     choose_zeta,
     evaluate_on_grid,
+    interpolate,
     ode_matvec,
     ode_regulator,
     operator_norm_weighted,
@@ -25,6 +26,7 @@ from circspec import (
     sie_matvec,
     sie_regulator,
     synth_powerlaw,
+    window_data,
     window_slots,
 )
 from circspec.operators import OperatorMatrix, _compression_entries, _symbol_reach, _toeplitz_entries
@@ -705,6 +707,37 @@ class TestMatrixFree:
             sie_matvec(jump, BandWindow(8), "nodal")
         with pytest.raises(ValueError, match="mode"):
             sie_regulator(jump, BandWindow(8), "nodal")
+
+
+class TestWindowData:
+    """window_data lays the data's compression out on window_slots' stack."""
+
+    @pytest.mark.parametrize("sizes", [(9,), (32,), (641,), (160, 193, 224, 256)],
+                             ids=["9", "32", "641", "group-160-256"])
+    @pytest.mark.parametrize("data", ["ode3", "rhp"])
+    def test_rows_are_the_compressed_data(self, data, sizes):
+        # ode3's right-hand side and rhp's g - 1, on modes up to +-640: the 641-mode
+        # window folds them, and the group shares the 512-point circulant
+        h = third_order_ode(1.51, 641)[1] if data == "ode3" else rhp_jump(1.51, 0.01, 641)._perturbations[0]
+        windows = [BandWindow(n) for n in sizes]
+        big, slots = window_slots(windows)
+        truncated, truncated_slots = window_data(h, windows, "finite_section")
+        folded, folded_slots = window_data(h, windows, "collocation")
+        assert truncated.shape == folded.shape == (len(windows), big.N)
+        assert truncated_slots == folded_slots == slots
+        norm = np.abs(h.coeffs).sum()
+        for t_row, f_row, s, w in zip(truncated, folded, slots, windows):
+            assert np.array_equal(t_row[s], project(h, w).coeffs)
+            assert np.array_equal(f_row[s], h.folded(w.N)[w.modes() % w.N])
+            # the FFT round trip the collocation data took before
+            grid = interpolate(evaluate_on_grid(h, w.N)).coeffs
+            assert np.abs(f_row[s] - grid).max() <= 1e-15 * norm
+            for row in (t_row, f_row):
+                assert not np.delete(row, np.arange(s.start, s.stop)).any()
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            window_data(CoeffVec.from_dict({0: 1.0}), [BandWindow(8)], "nodal")
 
 
 class TestJumpWinding:

@@ -240,6 +240,12 @@ class TestMatrixFreeSolve:
         with pytest.raises(SolveError, match="condition estimate inf.*Fredholm index"):
             solve_rhp(jump, BandWindow(n), mode=mode)
 
+    @pytest.mark.parametrize("coeffs", [{0: 1.0, 1: 0.3}, {1: 1.0}], ids=["winding-0", "winding-1"])
+    def test_unknown_mode_rejected_before_the_winding(self, coeffs):
+        jump = JumpSpec(CoeffVec.from_dict(coeffs))
+        with pytest.raises(ValueError, match="mode must be one of"):
+            solve_rhp(jump, BandWindow(16), mode="nodal")
+
 
 class TestWindowStacks:
     @pytest.mark.parametrize("mode, sizes", [("finite_section", (33, 40, 50, 64)), ("finite_section", (9, 16)),

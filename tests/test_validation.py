@@ -49,10 +49,17 @@ def report(values, ell=2.0) -> EigenReport:
     # row 1's operator is zero: with one name per row the stack raises "condition estimate inf"
     (lambda: solve_checked(lambda v: np.array([[1.0], [0.0], [2.0]]) * v, np.ones((3, 4)), context=["only"]),
      ValueError, "context must give one name per row: 3 rows, 1 names"),
+    (lambda: solve_checked(lambda v: 2 * v, np.ones((2, 2, 3))), ValueError,
+     r"rhs must have shape \(n,\) or \(B, n\) with n >= 1, got \(2, 2, 3\)"),
+    (lambda: solve_checked(lambda v: 2 * v, np.array(1.0)), ValueError,
+     r"rhs must have shape \(n,\) or \(B, n\) with n >= 1, got \(\)"),
+    (lambda: solve_checked(lambda v: 2 * v, np.ones((2, 0))), ValueError,
+     r"rhs must have shape \(n,\) or \(B, n\) with n >= 1, got \(2, 0\)"),
 ], ids=["q-above-k", "const-coeffs-length", "zero-leading-coefficient", "variable-not-coeffvec",
         "variable-order-k", "from-orders-empty", "operator-matrix-shape", "eigenvalue-count",
         "eigenvalues-descending", "distances-without-ell", "tail-scan-unbounded", "from-dict-empty",
-        "padded-empty", "grid-size-zero", "unknown-experiment", "context-per-row"])
+        "padded-empty", "grid-size-zero", "unknown-experiment", "context-per-row",
+        "rhs-three-dimensional", "rhs-scalar", "rhs-no-columns"])
 def test_rejects(call, exc, match):
     with pytest.raises(exc, match=match):
         call()
