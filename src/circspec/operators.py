@@ -5,12 +5,14 @@ differential operators and of the singular-integral operator matrix-free
 (ode_matvec, sie_matvec) through one circulant product, O(N) storage and
 O(N log N) work.  Both compressions of a multiplication are Toeplitz, so
 both embed in the power-of-two circulant of circulant_length; they differ
-only in the mode-difference row (_difference_row).  The products and
-regulators also act on a group of windows that share a circulant_length:
-a (B, N) stack laid out by window_slots on the modes of the largest
-window, each row masked back to its own window.  window_data lays a
-solve's data out on the same stack: the data's compression to each
-window, read from the same _difference_row at the differences m - 0.
+only in the mode-difference row (_difference_row).  Every product and
+regulator takes a group of windows that share a circulant_length and acts
+on their (B, N) stack, laid out by window_slots on the modes of the
+largest window, each row masked back to its own window.  One window is the
+group [w], whose stack may hold any number of rows, so R(np.eye(N)).T is
+R's matrix.  window_data lays a solve's data out on the same stack: the
+data's compression to each window, read from the same _difference_row at
+the differences m - 0.
 
 ode_regulator and sie_regulator are the solvers' right regulators, each
 returned as the product y -> R y.  ode_regulator is the only code that
@@ -44,14 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, sobolev_weights
-
-# one window, or a group of windows whose products act on their (B, N) stack (see window_slots)
-Window = BandWindow | Sequence[BandWindow]
 
 __all__ = [
     "DiffOpSpec",
@@ -308,12 +307,12 @@ def choose_zeta(spec: DiffOpSpec) -> complex:
 def _symbol_reach(spec: DiffOpSpec, r: float, cap: int) -> int:
     """Largest |m| <= cap with |symbol(m)| <= r, or -1 when there is none.
 
-    |symbol(m)| >= |c_k| |m|^k - sum_{j<k} |c_j| |m|^j, and that bound minus r
-    has one sign change, so by Descartes' rule one positive root x*; past it
-    |symbol(m)| > r.  x* is bracketed by doubling and bisected on
-    |c_k| - sum_{j<k} |c_j| x^(j-k) - r x^(-k), which increases in x, and only
-    |m| <= x* (1 + 1e-9), a margin far above the roundoff, are scanned.  A
-    constant symbol is within r at every mode or at none.
+    |symbol(m)| >= |c_k| |m|^k - sum_{j<k} |c_j| |m|^j, so |symbol(m)| > r
+    wherever excess(|m|) = |c_k| - sum_{j<k} |c_j| |m|^(j-k) - r |m|^(-k) > 0.
+    excess increases in x, so once it is positive at hi, every |m| >= hi is
+    beyond r.  hi doubles from 1 until it is, or until it passes cap, and
+    only |m| <= min(hi, cap) are scanned.  A constant symbol is within r at
+    every mode or at none.
     """
     c = [float(v) for v in np.abs(spec.const_coeffs)]
     if spec.k == 0:
@@ -325,11 +324,7 @@ def _symbol_reach(spec: DiffOpSpec, r: float, cap: int) -> int:
     hi = 1.0
     while excess(hi) <= 0.0 and hi <= cap:
         hi *= 2.0
-    lo = hi / 2.0 if hi > 1.0 else hi
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if excess(mid) > 0.0 else (mid, hi)
-    m = np.arange(int(min(hi * (1.0 + 1e-9), cap)) + 1)
+    m = np.arange(int(min(hi, cap)) + 1)
     near = np.flatnonzero(np.minimum(np.abs(spec.symbol(m)), np.abs(spec.symbol(-m))) <= r)
     return int(near[-1]) if near.size else -1
 
@@ -344,28 +339,25 @@ def _regulator_diagonal(sym: np.ndarray, zeta: complex, w: BandWindow) -> np.nda
     return 1.0 / gaps
 
 
-def ode_regulator(spec: DiffOpSpec, w: Window) -> Callable[[np.ndarray], np.ndarray]:
-    """Two-level right regulator of the compressed ODE on w, as the product y -> R y.
+def ode_regulator(spec: DiffOpSpec, windows) -> Callable[[np.ndarray], np.ndarray]:
+    """Two-level right regulator of the compressed ODE on each window of a group, as the
+    product y -> R y on the group's (B, N) stack, as for ode_matvec.
 
     R is the diagonal (L0 - zeta)^(-1), except on the modes |m| <= LOW_MODES
-    of a window that holds them when spec._low_regulator has a block: there
-    it is the inverse of the finite-section compression on those modes.  w
-    is one window or a group of them (see window_slots), whose rows are
-    regulated each on its own window.
+    of windows that hold them when spec._low_regulator has a block: there
+    it is the inverse of the finite-section compression on those modes.
     """
     zeta, inverse = spec._low_regulator
-    big, windows, _ = _group(w)
+    big, _, _ = _group(windows)
     reg = _regulator_diagonal(spec.symbol(big.modes()), zeta, big)
-    low = [v.N >= 2 * LOW_MODES + 1 for v in windows]
-    if inverse is None or not any(low):
+    # windows of one circulant length all hold the 17 low modes or none: it is 32 at N = 16, 64 at N = 17
+    if inverse is None or big.N < 2 * LOW_MODES + 1:
         return lambda y: reg * y
     slots = slice(big.n_minus - LOW_MODES, big.n_minus + LOW_MODES + 1)
-    # every row, or the rows whose windows hold the low modes
-    rows = Ellipsis if all(low) else np.flatnonzero(low)
 
     def regulate(y):
         x = reg * y
-        x[rows, slots] = np.matvec(inverse, y[rows, slots])
+        x[:, slots] = np.matvec(inverse, y[:, slots])
         return x
     return regulate
 
@@ -470,15 +462,19 @@ def window_data(h: CoeffVec, windows, mode: str) -> tuple[np.ndarray, list[slice
     return rhs, slots
 
 
-def _group(w: Window) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray | None]:
+def _group(windows) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray | None]:
     """(largest window, the windows, (B, N) boolean mask of the slots off each row's window)
-    for a window or group.
+    for the group of windows a product or regulator acts on.
 
-    The mask is None when every window is the largest, so nothing spills
-    off a row's window.
+    The group's (B, N) stack is laid out by window_slots.  Its windows must
+    share one circulant_length, or ValueError is raised; a bare BandWindow
+    is not a group and raises TypeError.  The mask is None when every window
+    is the largest, so nothing spills off a row's window.
     """
-    windows = (w,) if isinstance(w, BandWindow) else tuple(w)
+    windows = tuple(windows)
     big, slots = window_slots(windows)
+    if any(circulant_length(v.N) != circulant_length(big.N) for v in windows):
+        raise ValueError("a group's windows must share one circulant length")
     if all(v.N == big.N for v in windows):
         return big, windows, None
     # boolean, a sixteenth of a complex mask: a stack keeps one per product
@@ -488,79 +484,75 @@ def _group(w: Window) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray | 
     return big, windows, spill
 
 
-def _multiplication(coeffs: tuple, w: Window, mode: str) -> tuple[BandWindow, Callable[[np.ndarray], np.ndarray]]:
-    """The largest window of w, and the matrix-free v -> sum_j compress(a_j v_j) for a
-    (..., len(coeffs), N) stack v on its modes.
+def _multiplication(coeffs: tuple, windows, mode: str) -> tuple[BandWindow, Callable[[np.ndarray], np.ndarray]]:
+    """The largest of the windows, and the matrix-free v -> sum_j compress(a_j v_j) for a
+    (B, len(coeffs), N) stack v on its modes.
 
     Both compressions are Toeplitz: row b applies the Toeplitz matrix of
-    _difference_row(a_j, N_b, mode), embedded in a circulant of the shared
-    circulant_length (Chan & Ng, SIAM Rev. 1996) and applied by one batched
-    FFT each way.  w is one window or a group that shares that length; a
-    group's rows take their own symbols on the largest window's slots,
-    and what spills off a row's own window is zeroed in place.
+    _difference_row(a_j, N_b, mode), embedded in a circulant of the group's
+    shared circulant_length (Chan & Ng, SIAM Rev. 1996) and applied by one
+    batched FFT each way.  Row b takes window b's symbols on the largest
+    window's slots, and what spills off a row's own window is zeroed in place.
     """
     check_mode(mode)
-    big, windows, spill = _group(w)
+    big, windows, spill = _group(windows)
     size = circulant_length(big.N)
-    if any(circulant_length(v.N) != size for v in windows):
-        raise ValueError("a group's windows must share one circulant length")
     # difference d in slot d mod size: window slot i holds mode i - n_minus, and a
     # circulant depends only on slot differences
     cols = np.zeros((len(windows), len(coeffs), size), dtype=complex)
     for col, v in zip(cols, windows):
         for c, row in zip(col, (_difference_row(a, v.N, mode) for a in coeffs)):
             c[:v.N], c[size - v.N + 1:] = row[v.N - 1:], row[:v.N - 1]
-    # one window's product takes vectors, a group's takes stacks
-    symbols = np.fft.fft(cols[0] if isinstance(w, BandWindow) else cols)
+    symbols = np.fft.fft(cols)
 
     def product(v):
         spectra = np.fft.fft(v, size)
         spectra *= symbols
         total = spectra.sum(axis=-2)
-        out = np.fft.ifft(total, out=total)[..., :big.N]
+        out = np.fft.ifft(total, out=total)[:, :big.N]
         if spill is not None:
             np.copyto(out, 0, where=spill)
         return out
     return big, product
 
 
-def ode_matvec(spec: DiffOpSpec, w: Window, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
+def ode_matvec(spec: DiffOpSpec, windows, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free x -> A x for the matrix A that assemble_finite_section_ode or
     assemble_collocation_ode builds: sym x + sum_j compress(a_j (i m)^j x).
 
-    w is one window, whose product takes vectors of its N modes, or a group
-    of windows (see window_slots), whose product takes their (B, N) stack
-    and applies each row's own compression."""
-    big, mult = _multiplication(spec.var_coeffs, w, mode)
+    The product takes the (B, N) stack of a group of windows that share one
+    circulant_length (see window_slots) and applies to row b window b's
+    compression; one window is the group [w]."""
+    big, mult = _multiplication(spec.var_coeffs, windows, mode)
     modes = big.modes()
     sym = spec.symbol(modes)
     powers = (1j * modes) ** np.arange(len(spec.var_coeffs))[:, None]
-    return lambda x: sym * x + mult(powers * x[..., None, :])
+    return lambda x: sym * x + mult(powers * x[:, None, :])
 
 
-def sie_matvec(jump: JumpSpec, w: Window, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
+def sie_matvec(jump: JumpSpec, windows, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free x -> A x for the matrix A that assemble_sie builds: x - compress((g-1) C- x).
 
-    w is one window or a group of them, as for ode_matvec."""
-    return _sie_product(jump._perturbations[0], w, mode)
+    The product takes the group's (B, N) stack, as for ode_matvec."""
+    return _sie_product(jump._perturbations[0], windows, mode)
 
 
-def sie_regulator(jump: JumpSpec, w: Window, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
-    """Right regulator of the compressed SIE on w, as the product y -> R y.
+def sie_regulator(jump: JumpSpec, windows, mode: str = "finite_section") -> Callable[[np.ndarray], np.ndarray]:
+    """Right regulator of the compressed SIE on each window of a group, as the product
+    y -> R y on the group's (B, N) stack, as for ode_matvec.
 
     R = C+ - M(1/g) C- = Id - M(1/g - 1) C-, compressed as A is: the SIE
     product with 1/g in place of g.  For a zero-free g of winding zero,
-    A R is the identity plus a compact operator.  w is one window or a
-    group of them, as for ode_matvec.
+    A R is the identity plus a compact operator.
     """
-    return _sie_product(jump._perturbations[1], w, mode)
+    return _sie_product(jump._perturbations[1], windows, mode)
 
 
-def _sie_product(h: CoeffVec, w: Window, mode: str) -> Callable[[np.ndarray], np.ndarray]:
+def _sie_product(h: CoeffVec, windows, mode: str) -> Callable[[np.ndarray], np.ndarray]:
     """x -> x - compress(h C- x): sie_matvec for h = g - 1, sie_regulator for h = 1/g - 1."""
-    big, mult = _multiplication((h,), w, mode)
+    big, mult = _multiplication((h,), windows, mode)
     # C- keeps the modes below 0, the first n_minus slots; the FFT pads the rest with zeros
-    return lambda x: x + mult(x[..., None, :big.n_minus])
+    return lambda x: x + mult(x[:, None, :big.n_minus])
 
 
 def assemble_hankel(h: CoeffVec, w: BandWindow) -> OperatorMatrix:

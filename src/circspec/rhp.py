@@ -134,7 +134,6 @@ def jump_residual(sol: RHSolution, jump: JumpSpec, m: int) -> float:
     """Max over an m-point circle grid of |phi+ - phi- g|; zero for an exact solution."""
     if m < sol.window.N:
         raise ValueError(f"grid size {m} must be at least the window size {sol.window.N}")
-    z = np.exp(2j * np.pi * np.arange(m) / m)
     u = sol.u
     pos = CoeffVec(u.j_min, np.where(u.modes() >= 0, u.coeffs, 0.0))
     neg = CoeffVec(u.j_min, np.where(u.modes() < 0, u.coeffs, 0.0))

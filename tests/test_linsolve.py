@@ -142,7 +142,7 @@ class TestSolveChecked:
         w = BandWindow(13)
         spec = DiffOpSpec.from_orders({2: -1.0, 0: -25.000001})
         d = np.stack([np.linspace(1.0, 40.0, 13), spec.symbol(w.modes()), np.full(13, 2.0)]).astype(complex)
-        r = np.stack([1.0 / np.sqrt(d[0]), ode_regulator(spec, w)(np.ones(13, dtype=complex)), np.ones(13)])
+        r = np.stack([1.0 / np.sqrt(d[0]), ode_regulator(spec, [w])(np.ones((1, 13), dtype=complex))[0], np.ones(13)])
         f = np.stack([np.ones(13), 1 + 0.1j * w.modes(), np.arange(13) - 3.5j])
         x = solve_checked(lambda v: d * v, f, lambda v: r * v)
         stacked = passes[:]

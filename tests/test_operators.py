@@ -29,7 +29,8 @@ from circspec import (
     window_data,
     window_slots,
 )
-from circspec.operators import OperatorMatrix, _compression_entries, _symbol_reach, _toeplitz_entries
+from circspec.operators import (LOW_MODES, OperatorMatrix, _compression_entries, _symbol_reach, _toeplitz_entries,
+                                 circulant_length)
 from circspec.problems import rhp_jump, second_order_operator, third_order_ode, third_order_operator
 
 from oracles import apply_diff_op, dft_matrices, grid_multiply, random_coeffvec
@@ -614,7 +615,7 @@ class TestMatrixFree:
         a = assemble(spec, w).entries
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         want = a @ x
-        got = ode_matvec(spec, w, mode)(x)
+        got = ode_matvec(spec, [w], mode)(x[None])[0]
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(np.abs(a) @ np.abs(x))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 64])
@@ -627,7 +628,7 @@ class TestMatrixFree:
         w = BandWindow(n)
         a = assemble_sie(jump, w, mode).entries
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = sie_matvec(jump, w, mode)(x)
+        got = sie_matvec(jump, [w], mode)(x[None])[0]
         assert np.linalg.norm(got - a @ x) <= 1e-13 * np.linalg.norm(np.abs(a) @ np.abs(x))
 
     @pytest.mark.parametrize("n", [9, 41, 129])
@@ -643,8 +644,7 @@ class TestMatrixFree:
         inverse = CoeffVec(inv_minus_one.j_min, inv_minus_one.coeffs + (inv_minus_one.modes() == 0))
         w = BandWindow(n)
         dense = assemble_sie(JumpSpec(inverse), w, mode).entries
-        regulate = sie_regulator(jump, w, mode)
-        columns = np.column_stack([regulate(e) for e in np.eye(n, dtype=complex)])
+        columns = sie_regulator(jump, [w], mode)(np.eye(n)).T
         assert np.linalg.norm(columns - dense) <= 1e-14 * np.linalg.norm(dense)
 
     def test_constant_operator_is_diagonal(self):
@@ -652,7 +652,7 @@ class TestMatrixFree:
         w = BandWindow(9)
         x = np.arange(9) + 1j
         for mode in ("finite_section", "collocation"):
-            assert np.array_equal(ode_matvec(spec, w, mode)(x), spec.symbol(w.modes()) * x)
+            assert np.array_equal(ode_matvec(spec, [w], mode)(x[None])[0], spec.symbol(w.modes()) * x)
 
     @pytest.mark.parametrize("mode, sizes", [("finite_section", (17, 20, 31, 32)), ("finite_section", (5, 8)),
                                              ("collocation", (12, 12)), ("collocation", (17, 20, 31, 32)),
@@ -674,29 +674,61 @@ class TestMatrixFree:
                       lambda w: sie_matvec(jump, w, mode), lambda w: sie_regulator(jump, w, mode)):
             got = build(windows)(x)
             for row, xrow, s, w in zip(got, x, slots, windows):
-                want = build(w)(xrow[s])
+                want = build([w])(xrow[None, s])[0]
                 assert np.linalg.norm(row[s] - want) <= 1e-13 * np.linalg.norm(want)
                 assert not np.delete(row, np.arange(s.start, s.stop)).any()
 
     def test_regulator_group_of_windows_with_and_without_the_low_block(self):
-        # a 9-mode window is too small for the 17-mode low block, a 17-mode one holds it
+        # windows of 9..16 modes are too small for the 17-mode low block and share the
+        # circulant 32; windows of 17..32 modes hold it and share 64; the two never mix
         spec = third_order_ode(1.51, 401)[0]
-        windows = [BandWindow(9), BandWindow(17)]
-        big, slots = window_slots(windows)
-        x = np.zeros((2, big.N), dtype=complex)
-        x[0, slots[0]] = np.arange(9) + 1j
-        x[1, slots[1]] = 1.0 - 2j * np.arange(17)
-        got = ode_regulator(spec, windows)(x)
-        for row, xrow, s, w in zip(got, x, slots, windows):
-            want = ode_regulator(spec, w)(xrow[s])
-            assert np.linalg.norm(row[s] - want) <= 1e-15 * np.linalg.norm(want)
+        zeta, inverse = spec._low_regulator
+        assert inverse is not None
+        for sizes, has_block in (((9, 12, 16), False), ((17, 20, 32), True)):
+            windows = [BandWindow(n) for n in sizes]
+            big, slots = window_slots(windows)
+            x = np.zeros((len(windows), big.N), dtype=complex)
+            for row, s in zip(x, slots):
+                row[s] = np.arange(s.stop - s.start) + 1j - 2j * np.arange(s.stop - s.start) ** 2
+            got = ode_regulator(spec, windows)(x)
+            for row, xrow, s, w in zip(got, x, slots, windows):
+                want = ode_regulator(spec, [w])(xrow[None, s])[0]
+                assert np.linalg.norm(row[s] - want) <= 1e-15 * np.linalg.norm(want)
+                diagonal = np.diag(assemble_regulator(spec, zeta, w).entries) * xrow[s]
+                assert np.array_equal(want, diagonal) != has_block
+        with pytest.raises(ValueError, match="circulant length"):
+            ode_regulator(spec, [BandWindow(9), BandWindow(17)])
 
     def test_group_must_share_a_circulant_length(self):
-        # both modes embed in the power of two >= 2N - 1: 32 for N = 16, 64 for N = 17
+        # both modes embed in the power of two >= 2N - 1: 32 for N = 16, 64 for N = 17;
+        # a 9-mode window is too small for ode3's 17-mode low block, a 17-mode one holds it
         spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))
+        jump = JumpSpec(CoeffVec.from_dict({0: 1.0, 1: 0.2}))
         for mode in ("finite_section", "collocation"):
-            with pytest.raises(ValueError, match="circulant length"):
-                ode_matvec(spec, [BandWindow(16), BandWindow(17)], mode)
+            for build in (lambda w: ode_matvec(spec, w, mode), lambda w: sie_matvec(jump, w, mode),
+                          lambda w: sie_regulator(jump, w, mode)):
+                with pytest.raises(ValueError, match="circulant length"):
+                    build([BandWindow(16), BandWindow(17)])
+        for s in (spec, third_order_ode(1.51, 401)[0]):
+            for sizes in ((16, 17), (9, 17)):
+                with pytest.raises(ValueError, match="circulant length"):
+                    ode_regulator(s, [BandWindow(n) for n in sizes])
+
+    def test_bare_window_is_not_a_group(self):
+        spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))
+        jump = JumpSpec(CoeffVec.from_dict({0: 1.0, 1: 0.2}))
+        for build in (lambda w: ode_matvec(spec, w), lambda w: ode_regulator(spec, w),
+                      lambda w: sie_matvec(jump, w), lambda w: sie_regulator(jump, w)):
+            with pytest.raises(TypeError):
+                build(BandWindow(8))
+
+    def test_low_block_fills_whole_circulant_lengths(self):
+        # ode_regulator decides the low block for a whole group from one window: a
+        # window holds the 2 LOW_MODES + 1 low modes exactly when its circulant is at
+        # least theirs, which holds while 2 LOW_MODES is a power of two
+        low = 2 * LOW_MODES + 1
+        for n in range(1, 4097):
+            assert (n >= low) == (circulant_length(n) >= circulant_length(low)), n
 
     def test_unknown_mode_rejected(self):
         spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))
