@@ -12,11 +12,11 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import ConfigError, ExperimentConfig, emit_csv, run_experiment
+from .harness import EXPERIMENTS, ConfigError, ExperimentConfig, emit_csv, run_experiment
 from .linsolve import SolveError
 
 
-def _run(argv, allowed: tuple | None, prog: str) -> int:
+def _run(argv, allowed: tuple, prog: str) -> int:
     parser = argparse.ArgumentParser(prog=prog)
     parser.add_argument("--config", required=True, help="path to a JSON experiment configuration")
     parser.add_argument("--output", default=None, help="override the configured output path")
@@ -24,7 +24,7 @@ def _run(argv, allowed: tuple | None, prog: str) -> int:
 
     try:
         cfg = ExperimentConfig.from_json_file(args.config)
-        if allowed is not None and cfg.experiment not in allowed:
+        if cfg.experiment not in allowed:
             raise ConfigError(
                 f"{prog} runs {', '.join(allowed)} configurations, got {cfg.experiment!r}"
             )
@@ -63,7 +63,7 @@ def main_spectrum(argv=None) -> int:
 
 
 def main_convergence(argv=None) -> int:
-    return _run(argv, None, "convergence")
+    return _run(argv, EXPERIMENTS, "convergence")
 
 
 if __name__ == "__main__":

@@ -7,13 +7,14 @@ it at N_ref, then at each N in N_list, measuring each solution against the
 reference in the same floating-point guard as the solve (a weighted
 coefficient norm for the solvers, matched eigenvalue distances for the
 spectra, reported as the largest under a modulus cap).  Each experiment
-gives the sweep one solve for a list of N.  A solver sweep, in either
-mode, takes N_list in stacks (_stacks): the windows that share a circulant
-length are solved as one GMRES on their stack, up to the modes and
-circulant entries of the reference window or of one STACK_MODES window,
-whichever is larger, and a stack that fails is solved again window by
-window, so the first failing N is the one solving N by N finds.  The
-spectra take one N at a time.  Each experiment then fits a log-log slope.
+gives the sweep one solve for a list of N, and the sweep takes N_list in
+stacks (_stacks): the N that share a circulant length, up to the modes
+and circulant entries of the reference window or of one STACK_MODES
+window, whichever is larger.  A solver, in either mode, solves a stack as
+one GMRES on its windows' stack; the spectra run a stack's eigensolves
+one after another.  A stack that fails is solved again one N at a time,
+so the first failing N is the one solving N by N finds.  Each experiment
+then fits a log-log slope.
 Runs are deterministic: the same configuration at the same BLAS thread
 count yields byte-identical CSV output.
 """
@@ -262,16 +263,16 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
 def _stacks(cfg: ExperimentConfig) -> list[list[int]]:
     """N_list cut into the stacks that _sweep solves in one call.
 
-    A solver sweep stacks each run of consecutive N that share a circulant
-    length (operators.circulant_length, the same in both modes), cut so that its
-    B windows hold no more modes than one window of modes = max(N_ref,
-    STACK_MODES) (B max(N) <= modes) and its B circulants no more entries than
-    that window's (B length <= circulant_length(modes)): a stack needs no more
-    memory than the reference solve or one STACK_MODES solve, whichever is
-    larger.  The spectrum experiments take one N at a time.
+    Each run of consecutive N that share a circulant length
+    (operators.circulant_length, the same in both modes) is a stack, cut so
+    that its B windows hold no more modes than one window of modes =
+    max(N_ref, STACK_MODES) (B max(N) <= modes) and its B circulants no more
+    entries than that window's (B length <= circulant_length(modes)): a
+    solver's stack needs no more memory than the reference solve or one
+    STACK_MODES solve, whichever is larger.  A spectrum stack holds one
+    eigensolve at a time, so the shipped windows 41, 81, 161 and 321, of
+    four circulant lengths, are four stacks of one.
     """
-    if cfg.experiment.startswith("spectrum"):
-        return [[n] for n in cfg.N_list]
     modes = max(cfg.N_ref, STACK_MODES)
     room = circulant_length(modes)
     out = []
@@ -292,9 +293,9 @@ def _sweep(build, solve, measure, cfg: ExperimentConfig) -> list:
     a list of N: the reference goes to it alone, N_list in the stacks of _stacks.  Each
     step, the measurement included, raises floating-point overflow, division by zero and
     invalid operations (not underflow); a SolveError, ValueError or FloatingPointError from
-    a step is re-raised as a SolveError naming the step and N.  A stack that raises is
-    solved again one N at a time, in order, so the first failing N, and its message, are
-    those of the N-by-N sweep."""
+    a step is re-raised as a SolveError naming the step and N.  Every stack takes one such
+    step; a stack that raises, one N or more, is solved again one N at a time, in order, so
+    the first failing N, and its message, are those of the N-by-N sweep."""
     def step(what: str, n: int, fn):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -306,16 +307,14 @@ def _sweep(build, solve, measure, cfg: ExperimentConfig) -> list:
     ref = step(f"{cfg.experiment} reference", cfg.N_ref, lambda: solve(problem, [cfg.N_ref])[0])
     out = []
     for ns in _stacks(cfg):
-        solved = {}
-        if len(ns) > 1:
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    solved = dict(zip(ns, solve(problem, ns)))
-            except (SolveError, ValueError, FloatingPointError):
-                pass  # solved again one N at a time below, which raises what the N-by-N sweep raises
+        try:
+            solved = dict(zip(ns, step(cfg.experiment, ns[0], lambda: solve(problem, ns))))
+        except SolveError:
+            solved = {}  # solved again one N at a time below, which raises what the N-by-N sweep raises
         for n in ns:
             out.append(step(cfg.experiment, n,
                             lambda: measure(solved[n] if solved else solve(problem, [n])[0], ref)))
+        del solved  # a stack's results are freed before the next stack is solved
     return out
 
 

@@ -71,8 +71,9 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     condition estimate when it exceeds cond_cap, when the true residual then
     still exceeds 1e-10 relative to the right-hand side, and when the
     right-hand side or the operator's output is not finite; in a stack the
-    first row that fails a check raises.  A zero right-hand side, or zero
-    row, is solved by zero without iterating.
+    first row that fails a check raises.  A zero row is solved by zero
+    without a GMRES step; a stack of zero rows still calls apply and
+    regulator once each, as any stack does.
     """
     shape = np.shape(rhs)
     if len(shape) not in (1, 2) or shape[-1] < 1:
@@ -85,8 +86,6 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     if len(sizes) != len(rows) or not all(1 <= size <= shape[-1] for size in sizes):
         raise ValueError(f"sizes must give one size in 1..{shape[-1]} per row: {len(rows)} rows, got {sizes}")
     tops = np.abs(rows.view(float)).max(axis=1, initial=0.0).tolist()
-    if not any(tops):
-        return np.zeros(shape, dtype=complex)
     for top, where in zip(tops, contexts):
         if not math.isfinite(top):
             raise SolveError(f"{where}: right-hand side is not finite")
@@ -144,7 +143,7 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[f
     """
     count, n = rhs.shape
     limits = [min(size, MAX_ITER) for size in sizes]
-    m = max(limits)
+    m = max(limits, default=0)
     cap = min(m, FIRST_STEPS)
     basis = np.empty((count, cap + 1, n), dtype=complex)
     # per row: the columns of the Hessenberg matrix, the Givens rotations that

@@ -439,8 +439,11 @@ def window_slots(windows) -> tuple[BandWindow, list[slice]]:
 
     The stack follows the modes of the largest window, whose slot i holds
     mode i - n_minus, and row b holds window b's modes on its slots and zero
-    elsewhere.  Every smaller window's modes lie inside the largest's.
+    elsewhere.  Every smaller window's modes lie inside the largest's.  An
+    empty group raises ValueError.
     """
+    if not windows:
+        raise ValueError("a group needs at least one window")
     big = max(windows, key=lambda v: v.N)
     return big, [slice(big.n_minus - v.n_minus, big.n_minus + v.n_plus + 1) for v in windows]
 
@@ -462,21 +465,19 @@ def window_data(h: CoeffVec, windows, mode: str) -> tuple[np.ndarray, list[slice
     return rhs, slots
 
 
-def _group(windows) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray | None]:
+def _group(windows) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray]:
     """(largest window, the windows, (B, N) boolean mask of the slots off each row's window)
     for the group of windows a product or regulator acts on.
 
     The group's (B, N) stack is laid out by window_slots.  Its windows must
     share one circulant_length, or ValueError is raised; a bare BandWindow
-    is not a group and raises TypeError.  The mask is None when every window
-    is the largest, so nothing spills off a row's window.
+    is not a group and raises TypeError.  A row whose window is the largest
+    has no slot off it, so a lone window's mask is all False.
     """
     windows = tuple(windows)
     big, slots = window_slots(windows)
     if any(circulant_length(v.N) != circulant_length(big.N) for v in windows):
         raise ValueError("a group's windows must share one circulant length")
-    if all(v.N == big.N for v in windows):
-        return big, windows, None
     # boolean, a sixteenth of a complex mask: a stack keeps one per product
     spill = np.ones((len(windows), big.N), dtype=bool)
     for row, s in zip(spill, slots):
@@ -510,8 +511,7 @@ def _multiplication(coeffs: tuple, windows, mode: str) -> tuple[BandWindow, Call
         spectra *= symbols
         total = spectra.sum(axis=-2)
         out = np.fft.ifft(total, out=total)[:, :big.N]
-        if spill is not None:
-            np.copyto(out, 0, where=spill)
+        np.copyto(out, 0, where=spill)
         return out
     return big, product
 

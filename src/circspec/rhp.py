@@ -109,9 +109,11 @@ def _minus_sum(u: CoeffVec, z: complex) -> complex:
 def evaluate_phi(sol: RHSolution, z: complex, side: str | None = None) -> complex:
     """Evaluate phi = 1 + Cauchy transform of u at a point off the circle.
 
-    Inside the circle phi = 1 + sum_{j>=0} u_j z^j; outside,
-    phi = 1 - sum_{j<=-1} u_j z^j.  On the circle a side flag "plus"
-    (interior boundary value) or "minus" (exterior) must be given.  Any
+    Inside the circle phi = 1 + sum_{j>=0} u_j z^j, the "plus" side;
+    outside, phi = 1 - sum_{j<=-1} u_j z^j, the "minus" side.  Off the
+    circle the point picks its own side and `side` is ignored; on it,
+    `side` must be "plus" (interior boundary value) or "minus" (exterior).
+    A NaN point is off the circle and gives NaN.  Any
     window of u is accepted, including one on a single side of mode 0: the
     plus sum then starts at z^j_min, the minus sum at z^j_max.  The sum
     costs O(modes) with no index array, so a point costs a few numpy calls.
@@ -119,15 +121,11 @@ def evaluate_phi(sol: RHSolution, z: complex, side: str | None = None) -> comple
     zc = complex(z)
     r = abs(zc)
     on_circle = abs(r - 1.0) <= 1e-14
-    if on_circle:
-        if side == "plus":
-            return 1.0 + _plus_sum(sol.u, zc)
-        if side == "minus":
-            return 1.0 - _minus_sum(sol.u, zc)
+    if not on_circle:
+        side = "plus" if r < 1.0 else "minus"
+    elif side not in ("plus", "minus"):
         raise ValueError("evaluation on the circle requires side='plus' or side='minus'")
-    if r < 1.0:
-        return 1.0 + _plus_sum(sol.u, zc)
-    return 1.0 - _minus_sum(sol.u, zc)
+    return 1.0 + _plus_sum(sol.u, zc) if side == "plus" else 1.0 - _minus_sum(sol.u, zc)
 
 
 def jump_residual(sol: RHSolution, jump: JumpSpec, m: int) -> float:

@@ -320,6 +320,18 @@ class TestStacks:
         assert stacks(N_list=[131073, 163840, 196608, 229376, 262144], N_ref=2 ** 20) == [
             [131073, 163840, 196608, 229376], [262144]]
 
+    @pytest.mark.parametrize("experiment", ["spectrum2", "spectrum3"])
+    def test_spectrum_takes_the_solvers_stacks(self, tmp_path, experiment):
+        # the spectra stack as the solvers do; the shipped windows have four circulant lengths
+        def stacks(**raw):
+            return harness._stacks(ExperimentConfig.from_dict(
+                {"experiment": experiment, "output_path": str(tmp_path / "o.csv"), **raw}))
+
+        assert stacks(N_list=list(range(32, 513, 32)), N_ref=641) == [
+            [32], [64], [96, 128], [160, 192, 224, 256], list(range(288, 513, 32))]
+        shipped = ExperimentConfig.from_json_file(str(ROOT / "configs" / f"{experiment}.json"))
+        assert stacks(N_list=shipped.N_list, N_ref=shipped.N_ref) == [[41], [81], [161], [321]]
+
 
 class TestCli:
     def write_cfg(self, tmp_path, raw):

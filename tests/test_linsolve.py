@@ -112,9 +112,25 @@ class TestSolveChecked:
         assert x.shape == shape and set(seen) == {2}
         assert np.allclose(x, f / d, rtol=1e-13)
 
-    def test_zero_rhs_returns_zero(self):
-        x = solve_checked(lambda v: v, np.zeros(5, dtype=complex))
-        assert np.array_equal(x, np.zeros(5))
+    @pytest.mark.parametrize("shape", [(5,), (3, 5), (0, 3)], ids=["vector", "zero-stack", "empty-stack"])
+    def test_zero_rhs_returns_zero(self, shape):
+        # an all-zero or empty stack takes the general path: no GMRES step, and no
+        # floating-point exception on the way
+        with np.errstate(all="raise"):
+            x = solve_checked(lambda v: v, np.zeros(shape, dtype=complex), lambda v: -v)
+        assert x.shape == shape and x.dtype == complex
+        assert not x.any()
+
+    def test_zero_stack_matches_the_zero_row_of_a_mixed_stack(self):
+        # an all-zero stack gets the bits a zero row gets beside a nonzero one,
+        # here -0.0 from the regulator's sign
+        d = np.arange(1.0, 6.0)
+        mixed = np.zeros((2, 5), dtype=complex)
+        mixed[0] = 1.0 + 0.5j
+
+        def solve(rhs):
+            return solve_checked(lambda v: d * v, rhs, lambda v: -v)
+        assert solve(np.zeros((1, 5), dtype=complex))[0].tobytes() == solve(mixed)[1].tobytes()
 
     @pytest.mark.parametrize("bad", ["rhs", "operator"])
     def test_non_finite_input_raises(self, bad):

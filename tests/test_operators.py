@@ -734,11 +734,11 @@ class TestMatrixFree:
         spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))
         jump = JumpSpec(CoeffVec.from_dict({0: 1.0}))
         with pytest.raises(ValueError, match="mode"):
-            ode_matvec(spec, BandWindow(8), "nodal")
+            ode_matvec(spec, [BandWindow(8)], "nodal")
         with pytest.raises(ValueError, match="mode"):
-            sie_matvec(jump, BandWindow(8), "nodal")
+            sie_matvec(jump, [BandWindow(8)], "nodal")
         with pytest.raises(ValueError, match="mode"):
-            sie_regulator(jump, BandWindow(8), "nodal")
+            sie_regulator(jump, [BandWindow(8)], "nodal")
 
 
 class TestWindowData:

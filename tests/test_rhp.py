@@ -110,6 +110,14 @@ class TestEvaluatePhi:
             g = 1.0 + eps / z
             assert abs(phi_minus - 1.0 / g) <= 1e-10
 
+    def test_off_circle_point_picks_its_side(self):
+        sol = solve_rhp(one_sided_jump(0.1, "below"), BandWindow(32))
+        assert np.abs(sol.u.coeffs).max() > 0.0
+        for z in (0.3 + 0.2j, 0.0, 2.0 - 1.5j, complex(np.inf)):
+            assert len({evaluate_phi(sol, z, side=side) for side in (None, "plus", "minus")}) == 1
+        # phi(inf) = 1: every term of the minus sum has a negative power of z
+        assert evaluate_phi(sol, complex(np.inf)) == 1.0
+
     def test_on_circle_requires_side(self):
         sol = solve_rhp(JumpSpec(CoeffVec.from_dict({0: 1.0})), BandWindow(8))
         with pytest.raises(ValueError, match="side"):

@@ -15,7 +15,8 @@ from circspec import (
     truncation_coincidence,
 )
 from circspec.linsolve import solve_checked
-from circspec.operators import OperatorMatrix
+from circspec.operators import JumpSpec, OperatorMatrix, ode_matvec, window_data
+from circspec.rhp import solve_rhp_windows
 
 ONE = CoeffVec.from_dict({0: 1.0})
 
@@ -55,11 +56,15 @@ def report(values, ell=2.0) -> EigenReport:
      r"rhs must have shape \(n,\) or \(B, n\) with n >= 1, got \(\)"),
     (lambda: solve_checked(lambda v: 2 * v, np.ones((2, 0))), ValueError,
      r"rhs must have shape \(n,\) or \(B, n\) with n >= 1, got \(2, 0\)"),
+    (lambda: window_data(ONE, [], "finite_section"), ValueError, "a group needs at least one window"),
+    (lambda: ode_matvec(DiffOpSpec.from_orders({1: 1.0}), []), ValueError, "a group needs at least one window"),
+    (lambda: solve_rhp_windows(JumpSpec(ONE), []), ValueError, "a group needs at least one window"),
 ], ids=["q-above-k", "const-coeffs-length", "zero-leading-coefficient", "variable-not-coeffvec",
         "variable-order-k", "from-orders-empty", "operator-matrix-shape", "eigenvalue-count",
         "eigenvalues-descending", "distances-without-ell", "tail-scan-unbounded", "from-dict-empty",
         "padded-empty", "grid-size-zero", "unknown-experiment", "context-per-row",
-        "rhs-three-dimensional", "rhs-scalar", "rhs-no-columns"])
+        "rhs-three-dimensional", "rhs-scalar", "rhs-no-columns", "window-data-no-windows",
+        "ode-matvec-no-windows", "rhp-windows-no-windows"])
 def test_rejects(call, exc, match):
     with pytest.raises(exc, match=match):
         call()
