@@ -8,13 +8,12 @@ reference in the same floating-point guard as the solve (a weighted
 coefficient norm for the solvers, matched eigenvalue distances for the
 spectra, reported as the largest under a modulus cap).  Each experiment
 gives the sweep one solve for a list of N, and the sweep takes N_list in
-stacks (_stacks): the N that share a circulant length, up to the modes
-and circulant entries of the reference window or of one STACK_MODES
-window, whichever is larger.  A solver, in either mode, solves a stack as
-one GMRES on its windows' stack; the spectra run a stack's eigensolves
-one after another.  A stack that fails is solved again one N at a time,
-so the first failing N is the one solving N by N finds.  Each experiment
-then fits a log-log slope.
+stacks (_stacks): consecutive N, up to the modes and circulant entries of
+the reference window or of one STACK_MODES window, whichever is larger.
+A solver, in either mode, solves a stack as one GMRES on its windows'
+stack; the spectra run a stack's eigensolves one after another.  A stack
+that fails is solved again one N at a time, so the first failing N is the
+one solving N by N finds.  Each experiment then fits a log-log slope.
 Runs are deterministic: the same configuration at the same BLAS thread
 count yields byte-identical CSV output.
 """
@@ -263,24 +262,21 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
 def _stacks(cfg: ExperimentConfig) -> list[list[int]]:
     """N_list cut into the stacks that _sweep solves in one call.
 
-    Each run of consecutive N that share a circulant length
-    (operators.circulant_length, the same in both modes) is a stack, cut so
-    that its B windows hold no more modes than one window of modes =
-    max(N_ref, STACK_MODES) (B max(N) <= modes) and its B circulants no more
-    entries than that window's (B length <= circulant_length(modes)): a
-    solver's stack needs no more memory than the reference solve or one
-    STACK_MODES solve, whichever is larger.  A spectrum stack holds one
-    eigensolve at a time, so the shipped windows 41, 81, 161 and 321, of
-    four circulant lengths, are four stacks of one.
+    Consecutive N go into one stack for as long as its B windows hold no
+    more modes than one window of modes = max(N_ref, STACK_MODES)
+    (B max(N) <= modes) and its B circulants, each of its largest window's
+    circulant_length, no more entries than that window's
+    (B length <= circulant_length(modes)): a solver's stack needs no more
+    memory than the reference solve or one STACK_MODES solve, whichever is
+    larger.  A spectrum stack holds one eigensolve at a time, so the shipped
+    windows 41, 81, 161 and 321 are one stack.
     """
     modes = max(cfg.N_ref, STACK_MODES)
     room = circulant_length(modes)
     out = []
     for n in cfg.N_list:
         last = out[-1] if out else []
-        size = circulant_length(n)
-        if last and circulant_length(last[0]) == size and (len(last) + 1) * n <= modes \
-                and (len(last) + 1) * size <= room:
+        if last and (len(last) + 1) * n <= modes and (len(last) + 1) * circulant_length(n) <= room:
             last.append(n)
         else:
             out.append([n])

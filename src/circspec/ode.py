@@ -9,8 +9,8 @@ operators.ode_regulator and the gate on the regulated operator's condition.
 The right-hand side is compressed by the same rule as the operator: its
 rows come from operators.window_data, which reads the same mode-difference
 row, so collocation data is f folded mod N.  solve_ode_windows solves
-several windows that share a circulant length in one GMRES on their stack,
-each row on its own window; solve_ode is it on one window.
+several windows of any sizes in one GMRES on their stack, each row on its
+own window; solve_ode is it on one window.
 exact_constant_solve is the diagonal oracle for operators without a
 variable part.
 """
@@ -53,9 +53,8 @@ def solve_ode_windows(spec: DiffOpSpec, f: CoeffVec, windows, mode: str = "finit
                       cond_cap: float = 1e12) -> list[CoeffVec]:
     """solve_ode on each window, as one regulated GMRES on the windows' (B, N) stack.
 
-    The windows must share one circulant length (operators.circulant_length);
-    each row is solved, checked and gated on its own window, and the first
-    window that fails raises, naming its N.
+    The windows may have any sizes; each row is solved, checked and gated
+    on its own window, and the first window that fails raises, naming its N.
     """
     rhs, slots = window_data(f, windows, mode)
     contexts = [f"{mode} solve at N={w.N}" for w in windows]

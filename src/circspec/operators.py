@@ -6,13 +6,15 @@ differential operators and of the singular-integral operator matrix-free
 O(N log N) work.  Both compressions of a multiplication are Toeplitz, so
 both embed in the power-of-two circulant of circulant_length; they differ
 only in the mode-difference row (_difference_row).  Every product and
-regulator takes a group of windows that share a circulant_length and acts
-on their (B, N) stack, laid out by window_slots on the modes of the
-largest window, each row masked back to its own window.  One window is the
-group [w], whose stack may hold any number of rows, so R(np.eye(N)).T is
-R's matrix.  window_data lays a solve's data out on the same stack: the
-data's compression to each window, read from the same _difference_row at
-the differences m - 0.
+regulator takes a group of windows of any sizes and acts on their (B, N)
+stack, laid out by window_slots on the modes of the largest window, each
+row masked back to its own window.  The group's circulant is the largest
+window's, at least 2 N_b - 1 long for every window b, so each row's
+Toeplitz matrix embeds in it exactly.  One window is the group [w], whose
+stack may hold any number of rows, so R(np.eye(N)).T is R's matrix.
+window_data lays a solve's data out on the same stack: the data's
+compression to each window, read from the same _difference_row at the
+differences m - 0.
 
 ode_regulator and sie_regulator are the solvers' right regulators, each
 returned as the product y -> R y.  ode_regulator is the only code that
@@ -346,18 +348,22 @@ def ode_regulator(spec: DiffOpSpec, windows) -> Callable[[np.ndarray], np.ndarra
     R is the diagonal (L0 - zeta)^(-1), except on the modes |m| <= LOW_MODES
     of windows that hold them when spec._low_regulator has a block: there
     it is the inverse of the finite-section compression on those modes.
+    Each row of the stack decides by its own window, so a group may mix
+    windows with the block and without it.
     """
     zeta, inverse = spec._low_regulator
-    big, _, _ = _group(windows)
+    big, windows, _ = _group(windows)
     reg = _regulator_diagonal(spec.symbol(big.modes()), zeta, big)
-    # windows of one circulant length all hold the 17 low modes or none: it is 32 at N = 16, 64 at N = 17
     if inverse is None or big.N < 2 * LOW_MODES + 1:
         return lambda y: reg * y
     slots = slice(big.n_minus - LOW_MODES, big.n_minus + LOW_MODES + 1)
+    # the rows whose window holds the low modes, as a (B, 1) mask that broadcasts over the
+    # stack: the group [w] may carry any number of rows
+    held = np.array([[v.N > 2 * LOW_MODES] for v in windows])
 
     def regulate(y):
         x = reg * y
-        x[:, slots] = np.matvec(inverse, y[:, slots])
+        np.copyto(x[:, slots], np.matvec(inverse, y[:, slots]), where=held)
         return x
     return regulate
 
@@ -469,15 +475,13 @@ def _group(windows) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray]:
     """(largest window, the windows, (B, N) boolean mask of the slots off each row's window)
     for the group of windows a product or regulator acts on.
 
-    The group's (B, N) stack is laid out by window_slots.  Its windows must
-    share one circulant_length, or ValueError is raised; a bare BandWindow
+    The group's (B, N) stack is laid out by window_slots; its windows may
+    have any sizes.  An empty group raises ValueError, and a bare BandWindow
     is not a group and raises TypeError.  A row whose window is the largest
     has no slot off it, so a lone window's mask is all False.
     """
     windows = tuple(windows)
     big, slots = window_slots(windows)
-    if any(circulant_length(v.N) != circulant_length(big.N) for v in windows):
-        raise ValueError("a group's windows must share one circulant length")
     # boolean, a sixteenth of a complex mask: a stack keeps one per product
     spill = np.ones((len(windows), big.N), dtype=bool)
     for row, s in zip(spill, slots):
@@ -490,10 +494,11 @@ def _multiplication(coeffs: tuple, windows, mode: str) -> tuple[BandWindow, Call
     (B, len(coeffs), N) stack v on its modes.
 
     Both compressions are Toeplitz: row b applies the Toeplitz matrix of
-    _difference_row(a_j, N_b, mode), embedded in a circulant of the group's
-    shared circulant_length (Chan & Ng, SIAM Rev. 1996) and applied by one
-    batched FFT each way.  Row b takes window b's symbols on the largest
-    window's slots, and what spills off a row's own window is zeroed in place.
+    _difference_row(a_j, N_b, mode), embedded in the circulant of the largest
+    window's circulant_length, which is >= 2 N_b - 1 (Chan & Ng, SIAM Rev.
+    1996), and applied by one batched FFT each way.  Row b takes window b's
+    symbols on the largest window's slots, and what spills off a row's own
+    window is zeroed in place.
     """
     check_mode(mode)
     big, windows, spill = _group(windows)
@@ -520,9 +525,9 @@ def ode_matvec(spec: DiffOpSpec, windows, mode: str = "finite_section") -> Calla
     """Matrix-free x -> A x for the matrix A that assemble_finite_section_ode or
     assemble_collocation_ode builds: sym x + sum_j compress(a_j (i m)^j x).
 
-    The product takes the (B, N) stack of a group of windows that share one
-    circulant_length (see window_slots) and applies to row b window b's
-    compression; one window is the group [w]."""
+    The product takes the (B, N) stack of a group of windows of any sizes
+    (see window_slots) and applies to row b window b's compression; one
+    window is the group [w]."""
     big, mult = _multiplication(spec.var_coeffs, windows, mode)
     modes = big.modes()
     sym = spec.symbol(modes)

@@ -10,8 +10,8 @@ operator becomes the identity plus a compact one.  The jump arrives
 certified: JumpSpec(g) has checked once that g has no zero on the circle
 and recorded its winding number, which winding_number returns and
 solve_rhp requires to be 0, the index-0 case the regulator covers.  As in
-the ODE solve, solve_rhp_windows solves windows that share a circulant
-length in one GMRES on their stack, and solve_rhp is it on one window.  phi is reconstructed
+the ODE solve, solve_rhp_windows solves windows of any sizes in one GMRES
+on their stack, and solve_rhp is it on one window.  phi is reconstructed
 off the circle from truncated Laurent sums of u.  Each sum reads one contiguous
 slice of u's coefficients, forward for the modes j >= 0 and reversed for
 j <= -1, and sums it as a power series in z or 1/z whose powers are
@@ -64,9 +64,8 @@ def solve_rhp_windows(jump: JumpSpec, windows, mode: str = "finite_section",
                       cond_cap: float = 1e12) -> list[RHSolution]:
     """solve_rhp on each window, as one regulated GMRES on the windows' (B, N) stack.
 
-    The windows must share one circulant length (operators.circulant_length);
-    each row is solved, checked and gated on its own window, and the first
-    window that fails raises, naming its N.
+    The windows may have any sizes; each row is solved, checked and gated
+    on its own window, and the first window that fails raises, naming its N.
     """
     # window_data checks the mode before the winding is checked
     rhs, slots = window_data(jump._perturbations[0], windows, mode)

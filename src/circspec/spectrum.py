@@ -40,7 +40,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .fourier import BandWindow, sobolev_weights
-from .operators import DiffOpSpec, _compression_entries, _symbol_reach, assemble_finite_section_ode
+from .operators import DiffOpSpec, _compression_entries, _symbol_reach
+# not called here: bench/spans.py times the dense assembler where this module looks it up
+from .operators import assemble_finite_section_ode  # noqa: F401
 
 __all__ = [
     "EigenReport",
@@ -236,13 +238,16 @@ def resolvent_norm_grid(spec: DiffOpSpec, w: BandWindow, z_grid, s: float) -> np
 
     For each z returns 1/sigma_min(W_{s-k} (z Id - A) W_s^{-1}), the norm of
     the resolvent acting from order s-k into order s; inf where z Id - A is
-    singular.
+    singular.  The SVD runs in the field of the compression and z: a real
+    compression (see _compression_entries) at a real z takes a real SVD.
+    Next to an eigenvalue sigma_min is set by roundoff in either field, so
+    there the two fields may differ by about 1e-6 relative.
     """
-    a = assemble_finite_section_ode(spec, w).entries
+    a = _compression_entries(spec, w)
     modes = w.modes()
     w_low = sobolev_weights(modes, s - spec.k)
     w_high_inv = 1.0 / sobolev_weights(modes, s)
-    eye = np.eye(w.N, dtype=complex)
+    eye = np.eye(w.N)
     out = np.empty(len(np.atleast_1d(z_grid)), dtype=float)
     for i, z in enumerate(np.atleast_1d(z_grid)):
         scaled = w_low[:, None] * (z * eye - a) * w_high_inv[None, :]

@@ -96,6 +96,14 @@ class TestSolveChecked:
         f[0] = 1.0
         with pytest.raises(SolveError, match=f"residual .* after {MAX_ITER} GMRES iterations"):
             solve_checked(lambda v: np.roll(v, 1), f)
+        # capped at one step, diag(1, 1 + delta) keeps a residual delta / (2 sqrt 2) of (1, 1):
+        # the check fails it at delta 1e-8, 25 times past its 1e-10 |rhs| bound, and passes
+        # it at 1e-12, 280 times inside
+        d = np.array([1.0, 1.0 + 1e-8])
+        with pytest.raises(SolveError, match=r"residual 3\.536e-09 exceeds 1e-10 .* after 1 GMRES iterations"):
+            solve_checked(lambda v: d * v, np.ones(2, dtype=complex), sizes=[1])
+        d = np.array([1.0, 1.0 + 1e-12])
+        assert np.allclose(solve_checked(lambda v: d * v, np.ones(2, dtype=complex), sizes=[1]), 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(7,), (3, 7)])
     def test_callables_see_only_stacks(self, shape):
@@ -222,8 +230,10 @@ class TestSolveChecked:
 
 # bytes a stack may use per row beyond the budget (see test_stacked_sweep_peaks_below_reference)
 ROW_ALLOWANCE = 4096
-# the shipped configs, and 32 windows of one circulant length, which the budget cuts into 4 stacks
-_SWEEPS = {"shipped": None, "one-length": dict(N_list=list(range(264, 513, 8)), N_ref=641)}
+# the shipped configs; 32 windows of one circulant length, which the budget cuts into 4 stacks;
+# and 64 windows whose first stack, 8..128, spans five circulant lengths and the ODE low block's 17 modes
+_SWEEPS = {"shipped": None, "one-length": dict(N_list=list(range(264, 513, 8)), N_ref=641),
+           "mixed": dict(N_list=list(range(8, 513, 8)), N_ref=641)}
 _CASES = [(solver, mode, sweep) for sweep in _SWEEPS for mode in ("finite_section", "collocation")
           for solver in ("ode3", "rhp")]
 

@@ -248,9 +248,11 @@ class TestMatrixFreeSolve:
 
 class TestWindowStacks:
     @pytest.mark.parametrize("mode, sizes", [("finite_section", (33, 40, 50, 64)), ("finite_section", (9, 16)),
-                                             ("collocation", (48, 48))])
+                                             ("collocation", (48, 48)), ("finite_section", (9, 16, 17, 40)),
+                                             ("collocation", (9, 16, 17, 40))])
     def test_rows_match_their_single_solves(self, mode, sizes):
-        # the windows of a stack share one circulant length; each row is its own solve
+        # the windows of a stack may have any circulant lengths, and may straddle the ODE
+        # low block's 17 modes; each row is its own solve
         spec, rhs = third_order_ode(1.51, 129)
         got = solve_ode_windows(spec, rhs, [BandWindow(n) for n in sizes], mode)
         for u, n in zip(got, sizes):

@@ -29,8 +29,7 @@ from circspec import (
     window_data,
     window_slots,
 )
-from circspec.operators import (LOW_MODES, OperatorMatrix, _compression_entries, _symbol_reach, _toeplitz_entries,
-                                 circulant_length)
+from circspec.operators import LOW_MODES, OperatorMatrix, _compression_entries, _symbol_reach, _toeplitz_entries
 from circspec.problems import rhp_jump, second_order_operator, third_order_ode, third_order_operator
 
 from oracles import apply_diff_op, dft_matrices, grid_multiply, random_coeffvec
@@ -656,10 +655,14 @@ class TestMatrixFree:
 
     @pytest.mark.parametrize("mode, sizes", [("finite_section", (17, 20, 31, 32)), ("finite_section", (5, 8)),
                                              ("collocation", (12, 12)), ("collocation", (17, 20, 31, 32)),
-                                             ("collocation", (5, 8))])
+                                             ("collocation", (5, 8)), ("finite_section", (16, 17)),
+                                             ("collocation", (9, 17)), ("finite_section", (1, 9, 33, 100)),
+                                             ("collocation", (1, 9, 33, 100))])
     def test_group_rows_take_their_own_windows(self, mode, sizes):
-        # a group's stack lays each window on the modes of the largest; every row gets
-        # its own window's product and regulator, and stays zero off its window
+        # a group's stack lays each window on the modes of the largest, in the largest's
+        # circulant, whatever their own lengths (32 at N = 16, 64 at N = 17); every row gets
+        # its own window's product and regulator, with or without the 17-mode low block,
+        # and stays zero off its window
         rng = np.random.default_rng(101)
         spec = DiffOpSpec.from_orders({3: -1.0, 0: 0.5}, var=(random_coeffvec(rng, 20, 0.3), random_coeffvec(rng, 5, 0.1)))
         c = 0.2 * (rng.standard_normal(41) + 1j * rng.standard_normal(41))
@@ -679,12 +682,12 @@ class TestMatrixFree:
                 assert not np.delete(row, np.arange(s.start, s.stop)).any()
 
     def test_regulator_group_of_windows_with_and_without_the_low_block(self):
-        # windows of 9..16 modes are too small for the 17-mode low block and share the
-        # circulant 32; windows of 17..32 modes hold it and share 64; the two never mix
+        # windows of 9..16 modes are too small for the 17-mode low block, windows of 17..32
+        # modes hold it; in a group of both, each row takes its own window's regulator
         spec = third_order_ode(1.51, 401)[0]
         zeta, inverse = spec._low_regulator
         assert inverse is not None
-        for sizes, has_block in (((9, 12, 16), False), ((17, 20, 32), True)):
+        for sizes in ((9, 12, 16), (17, 20, 32), (9, 12, 16, 17, 20, 32)):
             windows = [BandWindow(n) for n in sizes]
             big, slots = window_slots(windows)
             x = np.zeros((len(windows), big.N), dtype=complex)
@@ -695,24 +698,7 @@ class TestMatrixFree:
                 want = ode_regulator(spec, [w])(xrow[None, s])[0]
                 assert np.linalg.norm(row[s] - want) <= 1e-15 * np.linalg.norm(want)
                 diagonal = np.diag(assemble_regulator(spec, zeta, w).entries) * xrow[s]
-                assert np.array_equal(want, diagonal) != has_block
-        with pytest.raises(ValueError, match="circulant length"):
-            ode_regulator(spec, [BandWindow(9), BandWindow(17)])
-
-    def test_group_must_share_a_circulant_length(self):
-        # both modes embed in the power of two >= 2N - 1: 32 for N = 16, 64 for N = 17;
-        # a 9-mode window is too small for ode3's 17-mode low block, a 17-mode one holds it
-        spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))
-        jump = JumpSpec(CoeffVec.from_dict({0: 1.0, 1: 0.2}))
-        for mode in ("finite_section", "collocation"):
-            for build in (lambda w: ode_matvec(spec, w, mode), lambda w: sie_matvec(jump, w, mode),
-                          lambda w: sie_regulator(jump, w, mode)):
-                with pytest.raises(ValueError, match="circulant length"):
-                    build([BandWindow(16), BandWindow(17)])
-        for s in (spec, third_order_ode(1.51, 401)[0]):
-            for sizes in ((16, 17), (9, 17)):
-                with pytest.raises(ValueError, match="circulant length"):
-                    ode_regulator(s, [BandWindow(n) for n in sizes])
+                assert np.array_equal(want, diagonal) != (w.N >= 2 * LOW_MODES + 1)
 
     def test_bare_window_is_not_a_group(self):
         spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))
@@ -721,14 +707,6 @@ class TestMatrixFree:
                       lambda w: sie_matvec(jump, w), lambda w: sie_regulator(jump, w)):
             with pytest.raises(TypeError):
                 build(BandWindow(8))
-
-    def test_low_block_fills_whole_circulant_lengths(self):
-        # ode_regulator decides the low block for a whole group from one window: a
-        # window holds the 2 LOW_MODES + 1 low modes exactly when its circulant is at
-        # least theirs, which holds while 2 LOW_MODES is a power of two
-        low = 2 * LOW_MODES + 1
-        for n in range(1, 4097):
-            assert (n >= low) == (circulant_length(n) >= circulant_length(low)), n
 
     def test_unknown_mode_rejected(self):
         spec = DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec.from_dict({0: 1.0}),))

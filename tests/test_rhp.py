@@ -257,9 +257,11 @@ class TestMatrixFreeSolve:
 
 class TestWindowStacks:
     @pytest.mark.parametrize("mode, sizes", [("finite_section", (33, 40, 50, 64)), ("finite_section", (9, 16)),
-                                             ("collocation", (48, 48))])
+                                             ("collocation", (48, 48)), ("finite_section", (9, 16, 17, 40)),
+                                             ("collocation", (9, 16, 17, 40))])
     def test_rows_match_their_single_solves(self, mode, sizes):
-        # the windows of a stack share one circulant length; each row is its own solve
+        # the windows of a stack may have any circulant lengths, and may straddle the ODE
+        # low block's 17 modes; each row is its own solve
         jump = rhp_jump(1.51, 0.6, 129)
         got = solve_rhp_windows(jump, [BandWindow(n) for n in sizes], mode)
         for sol, n in zip(got, sizes):

@@ -42,6 +42,16 @@ class TestEigenvaluesSelfAdjoint:
         spec = DiffOpSpec.from_orders({3: -1.0})
         with pytest.raises(ValueError, match="Hermitian"):
             eigenvalues_self_adjoint(spec, BandWindow(9))
+        # g_1 = conj(g_-1) + mismatch on -d^2, whose largest entry is 16 at N = 9: the check's
+        # bound is 1.6e-11, so a 1e-8 mismatch fails and a 1e-14 one passes
+        for mismatch, rejected in ((1e-8, True), (1e-14, False)):
+            g = CoeffVec.from_dict({-1: 0.2 - 0.3j, 0: 0.5, 1: 0.2 + 0.3j + mismatch})
+            spec = DiffOpSpec.from_orders({2: -1.0}, var=(g,))
+            if rejected:
+                with pytest.raises(ValueError, match="Hermitian"):
+                    eigenvalues_self_adjoint(spec, BandWindow(9))
+            else:
+                assert eigenvalues_self_adjoint(spec, BandWindow(9)).eigenvalues.shape == (9,)
 
     def test_third_order_with_i_coefficient_is_hermitian(self):
         spec = third_order_operator(2.51, 33)
@@ -85,15 +95,21 @@ class TestEigenvaluesSelfAdjoint:
         assert np.abs(rep.eigenvalues - np.sort(closed_form)).max() <= 1e-12 * np.linalg.norm(a, 2)
 
     def test_residual_gate(self, monkeypatch):
+        # eigh's vectors mixed with their neighbours by eps leave pair residuals of about
+        # eps ||A||: past the 1e-10 ||A|| gate at eps 1e-3 and 1e-7, inside it at 1e-13
         eigh = np.linalg.eigh
+        spec = second_order_operator(2.51, 33)
+        for eps, rejected in ((1e-3, True), (1e-7, True), (1e-13, False)):
+            def perturbed(b):
+                vals, vecs = eigh(b)
+                return vals, vecs + eps * np.roll(vecs, 1, axis=1)
 
-        def perturbed(b):
-            vals, vecs = eigh(b)
-            return vals, vecs + 1e-3 * np.roll(vecs, 1, axis=1)
-
-        monkeypatch.setattr(spectrum.np.linalg, "eigh", perturbed)
-        with pytest.raises(ValueError, match="eigenpair residual"):
-            eigenvalues_self_adjoint(second_order_operator(2.51, 33), BandWindow(33))
+            monkeypatch.setattr(spectrum.np.linalg, "eigh", perturbed)
+            if rejected:
+                with pytest.raises(ValueError, match="eigenpair residual"):
+                    eigenvalues_self_adjoint(spec, BandWindow(33))
+            else:
+                assert eigenvalues_self_adjoint(spec, BandWindow(33)).eigenvalues.shape == (33,)
 
     def test_rejects_flip_symmetric_non_hermitian(self):
         # g_{-1} = g_1 = 0.3i makes the compression flip-symmetric but not Hermitian
