@@ -10,7 +10,10 @@ The right-hand side is compressed by the same rule as the operator: its
 rows come from operators.window_data, which reads the same mode-difference
 row, so collocation data is f folded mod N.  solve_ode_windows solves
 several windows of any sizes in one GMRES on their stack, each row on its
-own window; solve_ode is it on one window.
+own window; solve_ode is it on one window.  This module supplies the ODE's
+product, its regulator and its dead-mode check; the windows solve itself
+(data layout, solve_checked, unpacking) is operators._solve_windows, which
+the RHP solver shares.
 exact_constant_solve is the diagonal oracle for operators without a
 variable part.
 """
@@ -20,10 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import BandWindow, CoeffVec
-from .linsolve import GMRES_TOL, SolveError, solve_checked
-from .operators import DiffOpSpec, ode_matvec, ode_regulator, window_data
-# not called here: bench/spans.py times the dense assemblers and the Fourier maps where this
-# module looks them up
+from .operators import DiffOpSpec, _solve_windows, ode_matvec, ode_regulator, window_data
+# not called here: bench/spans.py times the solve, the dense assemblers and the Fourier maps
+# where this module looks them up
+from .linsolve import GMRES_TOL, SolveError, solve_checked  # noqa: F401
 from .fourier import evaluate_on_grid, interpolate, project  # noqa: F401
 from .operators import assemble_collocation_ode, assemble_finite_section_ode  # noqa: F401
 
@@ -55,20 +58,20 @@ def solve_ode_windows(spec: DiffOpSpec, f: CoeffVec, windows, mode: str = "finit
 
     The windows may have any sizes; each row is solved, checked and gated
     on its own window, and the first window that fails raises, naming its N.
+    The product is built first, so errors come in one order: an unknown
+    mode, an empty group, then, for an operator without a variable part, a
+    dead mode with data (read from window_data), then the solve, which is
+    operators._solve_windows with ode_matvec and ode_regulator.
     """
-    rhs, slots = window_data(f, windows, mode)
-    contexts = [f"{mode} solve at N={w.N}" for w in windows]
+    product = ode_matvec(spec, windows, mode)
     if not spec.has_variable_part():
-        for row, s, w, context in zip(rhs, slots, windows, contexts):
+        rhs, slots = window_data(f, windows, mode)
+        for row, s, w in zip(rhs, slots, windows):
             hit = (spec.symbol(w.modes()) == 0.0) & (np.abs(row[s]) > GMRES_TOL * np.linalg.norm(row[s]))
             if np.any(hit):
-                m = int(w.modes()[np.argmax(hit)])
-                raise SolveError(
-                    f"{context}: condition estimate inf (symbol vanishes at mode {m} with nonzero data)"
-                )
-    x = solve_checked(ode_matvec(spec, windows, mode), rhs, ode_regulator(spec, windows),
-                      cond_cap=cond_cap, context=contexts, sizes=[w.N for w in windows])
-    return [CoeffVec(-w.n_minus, row[s]) for row, s, w in zip(x, slots, windows)]
+                raise SolveError(f"{mode} solve at N={w.N}: condition estimate inf (symbol vanishes at mode "
+                                 f"{int(w.modes()[np.argmax(hit)])} with nonzero data)")
+    return _solve_windows(f, product, ode_regulator(spec, windows), windows, mode, cond_cap, "solve")
 
 
 def exact_constant_solve(spec: DiffOpSpec, f: CoeffVec) -> CoeffVec:

@@ -14,7 +14,12 @@ Toeplitz matrix embeds in it exactly.  One window is the group [w], whose
 stack may hold any number of rows, so R(np.eye(N)).T is R's matrix.
 window_data lays a solve's data out on the same stack: the data's
 compression to each window, read from the same _difference_row at the
-differences m - 0.
+differences m - 0.  _solve_windows is the windows solve both solvers end
+in, and the one call of linsolve.solve_checked: the data laid out by
+window_data, one solve_checked on the stack with a named row and its own
+size per window, and one CoeffVec back per window.  ode.solve_ode_windows
+and rhp.solve_rhp_windows bring only their product, regulator and
+pre-check.
 
 ode_regulator and sie_regulator are the solvers' right regulators, each
 returned as the product y -> R y.  ode_regulator is the only code that
@@ -53,6 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid, interpolate, sobolev_weights
+from .linsolve import solve_checked
 
 __all__ = [
     "DiffOpSpec",
@@ -469,6 +475,23 @@ def window_data(h: CoeffVec, windows, mode: str) -> tuple[np.ndarray, list[slice
     for row, s, w in zip(rhs, slots, windows):
         row[s] = _difference_row(h, w.N, mode)[w.N - 1 - w.n_minus:w.N + w.n_plus]
     return rhs, slots
+
+
+def _solve_windows(h: CoeffVec, product, regulator, windows, mode: str, cond_cap: float,
+                   what: str) -> list[CoeffVec]:
+    """The windows solve both solvers share: product(x) = h compressed to each window of a
+    group, right-regulated by regulator, as one solve_checked on the group's (B, N) stack.
+
+    product and regulator act on that stack (ode_matvec and ode_regulator, or
+    sie_matvec and sie_regulator); the data is laid out by window_data.  Row b
+    is solved, checked and gated on its own window, with its own N_b unknowns,
+    and named "{mode} {what} at N={N_b}" in errors, so the first window that
+    fails raises naming its N.  Returns one CoeffVec per window.
+    """
+    rhs, slots = window_data(h, windows, mode)
+    x = solve_checked(product, rhs, regulator, cond_cap=cond_cap,
+                      context=[f"{mode} {what} at N={w.N}" for w in windows], sizes=[w.N for w in windows])
+    return [CoeffVec(-w.n_minus, row[s]) for row, s, w in zip(x, slots, windows)]
 
 
 def _group(windows) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray]:

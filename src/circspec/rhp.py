@@ -6,17 +6,19 @@ density solves C+ u - (C- u) g = g - 1, which is compressed to a window,
 its right-hand side laid out by operators.window_data with the same
 compression, applied matrix-free and solved by GMRES, right-regulated by
 C+ - M(1/g) C- (operators.sie_regulator) so that, as in the ODE solve, the
-operator becomes the identity plus a compact one.  The jump arrives
+operator becomes the identity plus a compact one.  Both equations end in
+the same windows solve, operators._solve_windows; this module supplies
+the SIE product, its regulator and the winding check.  The jump arrives
 certified: JumpSpec(g) has checked once that g has no zero on the circle
 and recorded its winding number, which winding_number returns and
 solve_rhp requires to be 0, the index-0 case the regulator covers.  As in
 the ODE solve, solve_rhp_windows solves windows of any sizes in one GMRES
 on their stack, and solve_rhp is it on one window.  phi is reconstructed
-off the circle from truncated Laurent sums of u.  Each sum reads one contiguous
-slice of u's coefficients, forward for the modes j >= 0 and reversed for
-j <= -1, and sums it as a power series in z or 1/z whose powers are
-cumulative products; a window that does not reach mode 0 (or -1) keeps
-its offset as one leading power.
+off the circle from truncated Laurent sums of u by one power-series kernel
+in evaluate_phi: it reads one contiguous slice of u's coefficients,
+forward for the modes j >= 0 and reversed for j <= -1, and sums it as a
+power series in z or 1/z whose powers are cumulative products; a window
+that does not reach mode 0 (or -1) keeps its offset as one leading power.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import BandWindow, CoeffVec, evaluate_on_grid
-from .linsolve import SolveError, solve_checked
-from .operators import JumpSpec, sie_matvec, sie_regulator, window_data
-# not called here: bench/spans.py times the dense assembler and the Fourier maps where this
-# module looks them up
+from .operators import JumpSpec, _solve_windows, sie_matvec, sie_regulator
+# not called here: bench/spans.py times the solve, the dense assembler and the Fourier maps
+# where this module looks them up
+from .linsolve import SolveError, solve_checked  # noqa: F401
 from .fourier import interpolate, project  # noqa: F401
 from .operators import assemble_sie  # noqa: F401
 
@@ -66,43 +68,18 @@ def solve_rhp_windows(jump: JumpSpec, windows, mode: str = "finite_section",
 
     The windows may have any sizes; each row is solved, checked and gated
     on its own window, and the first window that fails raises, naming its N.
+    The product is built first, so errors come in one order: an unknown
+    mode, an empty group, a nonzero winding (named at the first window's
+    N), then the solve, which is operators._solve_windows with sie_matvec
+    and sie_regulator, each row wrapped in an RHSolution.
     """
-    # window_data checks the mode before the winding is checked
-    rhs, slots = window_data(jump._perturbations[0], windows, mode)
-    contexts = [f"{mode} SIE solve at N={w.N}" for w in windows]
+    product = sie_matvec(jump, windows, mode)
     if jump.winding != 0:
-        raise SolveError(
-            f"{contexts[0]}: condition estimate inf (jump winding number {jump.winding}, "
-            "nonzero Fredholm index)"
-        )
-    x = solve_checked(sie_matvec(jump, windows, mode), rhs, sie_regulator(jump, windows, mode),
-                      cond_cap=cond_cap, context=contexts, sizes=[w.N for w in windows])
-    return [RHSolution(u=CoeffVec(-w.n_minus, row[s]), window=w) for row, s, w in zip(x, slots, windows)]
-
-
-def _power_series(c: np.ndarray, w: complex, start: int) -> complex:
-    """w^start * sum_k c_k w^k, with the powers 1, w, w^2, ... built by cumulative products in place."""
-    if len(c) == 0:
-        return 0j
-    p = np.full(len(c), w)
-    p[0] = 1.0
-    np.cumprod(p, out=p)
-    return w ** start * complex(c @ p)
-
-
-def _plus_sum(u: CoeffVec, z: complex) -> complex:
-    """sum_{j>=0} u_j z^j over u's window: a forward slice of u.coeffs from mode max(j_min, 0)."""
-    lo = max(u.j_min, 0)
-    return _power_series(u.coeffs[lo - u.j_min:], z, lo)
-
-
-def _minus_sum(u: CoeffVec, z: complex) -> complex:
-    """sum_{j<=-1} u_j z^j over u's window: a reversed slice of u.coeffs from mode
-    min(j_max, -1) down to j_min, summed as a power series in 1/z."""
-    hi = min(u.j_max, -1)
-    if hi < u.j_min:
-        return 0j
-    return _power_series(u.coeffs[hi - u.j_min::-1], 1.0 / z, -hi)
+        raise SolveError(f"{mode} SIE solve at N={windows[0].N}: condition estimate inf (jump winding number "
+                         f"{jump.winding}, nonzero Fredholm index)")
+    us = _solve_windows(jump._perturbations[0], product, sie_regulator(jump, windows, mode), windows, mode,
+                        cond_cap, "SIE solve")
+    return [RHSolution(u=u, window=w) for u, w in zip(us, windows)]
 
 
 def evaluate_phi(sol: RHSolution, z: complex, side: str | None = None) -> complex:
@@ -114,17 +91,31 @@ def evaluate_phi(sol: RHSolution, z: complex, side: str | None = None) -> comple
     `side` must be "plus" (interior boundary value) or "minus" (exterior).
     A NaN point is off the circle and gives NaN.  Any
     window of u is accepted, including one on a single side of mode 0: the
-    plus sum then starts at z^j_min, the minus sum at z^j_max.  The sum
-    costs O(modes) with no index array, so a point costs a few numpy calls.
+    plus sum then starts at z^j_min, the minus sum at z^j_max.  Either side
+    is one power series w^start sum_k c_k w^k: the plus side reads
+    u.coeffs forward from mode max(j_min, 0) with w = z, the minus side
+    reads them reversed from mode min(j_max, -1) with w = 1/z, and the
+    powers 1, w, w^2, ... are cumulative products.  A point costs O(modes)
+    and a few numpy calls, with no index array.
     """
     zc = complex(z)
     r = abs(zc)
-    on_circle = abs(r - 1.0) <= 1e-14
-    if not on_circle:
+    if not abs(r - 1.0) <= 1e-14:
         side = "plus" if r < 1.0 else "minus"
     elif side not in ("plus", "minus"):
         raise ValueError("evaluation on the circle requires side='plus' or side='minus'")
-    return 1.0 + _plus_sum(sol.u, zc) if side == "plus" else 1.0 - _minus_sum(sol.u, zc)
+    u = sol.u
+    if side == "plus":
+        start, w, c = max(u.j_min, 0), zc, u.coeffs[max(-u.j_min, 0):]
+    else:
+        hi = min(u.j_max, -1)
+        start, w, c = -hi, 1.0 / zc, u.coeffs[:max(hi - u.j_min + 1, 0)][::-1]
+    # the powers 1, w, ..., w^len(c): one more than c needs, so that p[0] exists for an empty c
+    p = np.full(len(c) + 1, w)
+    p[0] = 1.0
+    np.cumprod(p, out=p)
+    total = w ** start * complex(c @ p[:-1])
+    return 1.0 + total if side == "plus" else 1.0 - total
 
 
 def jump_residual(sol: RHSolution, jump: JumpSpec, m: int) -> float:

@@ -147,6 +147,18 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="mode"):
             solve_ode(spec, CoeffVec.from_dict({0: 1.0}), BandWindow(9), mode="nodal")
 
+    def test_mode_and_group_rejected_before_the_dead_mode(self):
+        # -d^3 with data at its dead mode 0 fails the dead-mode check, but only after the
+        # mode and then the group of windows are checked
+        spec = DiffOpSpec.from_orders({3: -1.0})
+        f = CoeffVec.from_dict({0: 1.0, 1: 1.0})
+        with pytest.raises(ValueError, match="mode must be one of"):
+            solve_ode(spec, f, BandWindow(9), mode="nodal")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            solve_ode_windows(spec, f, [], mode="nodal")
+        with pytest.raises(ValueError, match="a group needs at least one window"):
+            solve_ode_windows(spec, f, [])
+
     def test_condition_cap_is_configurable(self):
         # -d^2 + 1 at N=9, regulated by (L0 + 1)^(-1), is (m^2 + 1) / (m^2 + 2):
         # data on all nine modes gives the estimate (17/18) / (1/2) = 1.889

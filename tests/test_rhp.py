@@ -131,6 +131,14 @@ class TestEvaluatePhi:
         # phi+ = g for this factorization
         assert abs(evaluate_phi(sol, z, side="plus") - (1.0 + eps * z)) <= 1e-10
 
+    @pytest.mark.parametrize("j_min, size", [(-1, 3), (0, 1), (2, 3), (-3, 2)],
+                             ids=["both-sides", "mode-0-only", "positive-only", "negative-only"])
+    def test_nan_point_gives_nan_on_every_window(self, j_min, size):
+        sol = RHSolution(CoeffVec(j_min, np.full(size, 0.5 + 0.25j)), BandWindow(size))
+        for side in (None, "plus", "minus"):
+            phi = evaluate_phi(sol, complex(np.nan), side)
+            assert np.isnan(phi.real) and np.isnan(phi.imag)
+
 
 class TestJumpResidual:
     def test_unit_jump_zero_residual(self):
@@ -253,6 +261,11 @@ class TestMatrixFreeSolve:
         jump = JumpSpec(CoeffVec.from_dict(coeffs))
         with pytest.raises(ValueError, match="mode must be one of"):
             solve_rhp(jump, BandWindow(16), mode="nodal")
+        # then the group, also before the winding
+        with pytest.raises(ValueError, match="mode must be one of"):
+            solve_rhp_windows(jump, [], mode="nodal")
+        with pytest.raises(ValueError, match="a group needs at least one window"):
+            solve_rhp_windows(jump, [])
 
 
 class TestWindowStacks:
