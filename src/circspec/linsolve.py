@@ -7,14 +7,15 @@ the operators solved here A R is the identity plus a compact operator, so
 its condition and the iteration count stay flat as the window grows.
 
 The right-hand side is a (B, n) stack of independent systems whose
-products act row by row; one right-hand side of shape (n,) is solved as a
-stack of one.  The rows are solved in lockstep: each step applies
+products act row by row, each row with its own name and its own size.
+The rows are solved in lockstep: each step applies
 one product to the stack and runs one stacked Gram-Schmidt pass and one
 normalisation, while every row keeps its own scaling, Givens recurrence
 (on Python scalars), stopping test, condition gate, residual check,
 refinement and step cap, min(its own size, MAX_ITER): a row that pads a
-smaller system with zeros stops where that system would stop alone.  A row that has converged, or reached its cap, is frozen: its basis
-vectors are zero from then on.  GMRES keeps k + 1 basis vectors per row
+smaller system with zeros stops where that system would stop alone.  A
+row that has converged, or reached its cap, is frozen: its basis vectors
+are zero from then on.  GMRES keeps k + 1 basis vectors per row
 after k steps, so a solve's memory is O(steps B n): the workspace starts at
 FIRST_STEPS steps and doubles when full.
 """
@@ -44,23 +45,20 @@ class SolveError(RuntimeError):
 
 
 def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
-                  regulator: Callable[[np.ndarray], np.ndarray] | None = None,
-                  cond_cap: float = 1e12, context: str | Sequence[str] = "linear solve",
-                  sizes: Sequence[int] | None = None) -> np.ndarray:
+                  regulator: Callable[[np.ndarray], np.ndarray], *, context: Sequence[str],
+                  sizes: Sequence[int], cond_cap: float = 1e12) -> np.ndarray:
     """Solve apply(x) = rhs by GMRES on apply(R y) = rhs; return x = R y.
 
-    rhs is one right-hand side of shape (n,) or a (B, n) stack of them,
-    with n >= 1 (ValueError otherwise, naming the shape); the result has
-    rhs's shape.  apply and regulator map (B, n) stacks to (B, n) stacks,
-    row by row: one right-hand side reaches them as a stack of one.
-    regulator is the product y -> R y; None stands for the
-    identity.  context names the solve in errors: one string, or one per
-    row (ValueError otherwise).  sizes gives each row's own number of
-    unknowns, for a stack whose rows hold smaller systems padded with
-    zeros: one integer in 1..n per row (ValueError otherwise); None gives
-    every row the stack's n.  The condition estimate of a row is
-    sigma_max / sigma_min of its Arnoldi Hessenberg matrix of the regulated
-    operator x -> apply(R x), gated against cond_cap.
+    rhs is a (B, n) stack of right-hand sides with n >= 1 (ValueError
+    otherwise, naming the shape), and the result is a (B, n) stack.  apply
+    and regulator map (B, n) stacks to (B, n) stacks, row by row; regulator
+    is the product y -> R y.  context names each row in errors, one name
+    per row.  sizes gives each row's own number of unknowns, for a stack
+    whose rows hold smaller systems padded with zeros: one integer in 1..n
+    per row.  The condition estimate of a row is sigma_max / sigma_min of
+    its Arnoldi Hessenberg matrix of the regulated operator x -> apply(R x),
+    gated against cond_cap, which must be at least 1, as every estimate is.
+    A context, sizes or cond_cap that breaks these rules raises ValueError.
 
     GMRES stops a row when its residual estimate falls below GMRES_TOL
     relative to its right-hand side, or after min(size, MAX_ITER)
@@ -75,18 +73,18 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     without a GMRES step; a stack of zero rows still calls apply and
     regulator once each, as any stack does.
     """
-    shape = np.shape(rhs)
-    if len(shape) not in (1, 2) or shape[-1] < 1:
-        raise ValueError(f"rhs must have shape (n,) or (B, n) with n >= 1, got {shape}")
-    rows = np.ascontiguousarray(rhs, dtype=complex).reshape(-1, shape[-1])
-    contexts = [context] * len(rows) if isinstance(context, str) else list(context)
-    if len(contexts) != len(rows):
-        raise ValueError(f"context must give one name per row: {len(rows)} rows, {len(contexts)} names")
-    sizes = [shape[-1]] * len(rows) if sizes is None else list(sizes)
-    if len(sizes) != len(rows) or not all(1 <= size <= shape[-1] for size in sizes):
-        raise ValueError(f"sizes must give one size in 1..{shape[-1]} per row: {len(rows)} rows, got {sizes}")
+    if np.ndim(rhs) != 2 or np.shape(rhs)[1] < 1:
+        raise ValueError(f"rhs must have shape (B, n) with n >= 1, got {np.shape(rhs)}")
+    rows = np.ascontiguousarray(rhs, dtype=complex)
+    count, n = rows.shape
+    if len(context) != count:
+        raise ValueError(f"context must give one name per row: {count} rows, {len(context)} names")
+    if len(sizes) != count or not all(isinstance(size, (int, np.integer)) and 1 <= size <= n for size in sizes):
+        raise ValueError(f"sizes must give one integer in 1..{n} per row: {count} rows, got {sizes}")
+    if not cond_cap >= 1.0:
+        raise ValueError(f"cond_cap must be at least 1, got {cond_cap}")
     tops = np.abs(rows.view(float)).max(axis=1, initial=0.0).tolist()
-    for top, where in zip(tops, contexts):
+    for top, where in zip(tops, context):
         if not math.isfinite(top):
             raise SolveError(f"{where}: right-hand side is not finite")
     # solve for each row times 2^-e, whose largest part is in [1/2, 1): exact, and its norm
@@ -94,35 +92,34 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     e = np.array([math.frexp(top)[1] for top in tops], dtype=np.intc)[:, None]
     rows = np.ldexp(rows.view(float), -e).view(complex)
     beta = _norms(rows)
-    regulate = regulator if regulator is not None else (lambda y: y)
 
     def op(y):
-        return apply(regulate(y))
+        return apply(regulator(y))
 
-    y, cond, steps, met = _gmres(op, rows, beta, contexts, sizes)
-    for c, where in zip(cond, contexts):
+    y, cond, steps, met = _gmres(op, rows, beta, context, sizes)
+    for c, where in zip(cond, context):
         if not math.isfinite(c) or c > cond_cap:
             raise SolveError(
                 f"{where}: condition estimate {c:.3e} exceeds cap {cond_cap:.1e} "
                 "(operator not invertible at this truncation, or truncation too small)"
             )
-    x = regulate(y)
+    x = regulator(y)
     r = rows - apply(x)
     resid = _norms(r)
     refine = [rb > RESID_TOL * bb and mb for rb, bb, mb in zip(resid, beta, met)]
     if any(refine):
         # rows that need no refinement enter with beta 0, so they take no step and add zero
-        dy, _, more, _ = _gmres(op, r, [rb if fb else 0.0 for rb, fb in zip(resid, refine)], contexts, sizes)
-        x = x + regulate(dy)
+        dy, _, more, _ = _gmres(op, r, [rb if fb else 0.0 for rb, fb in zip(resid, refine)], context, sizes)
+        x = x + regulator(dy)
         resid = _norms(apply(x) - rows)
         steps = [s + m for s, m in zip(steps, more)]
-    for rb, bb, s, where in zip(resid, beta, steps, contexts):
+    for rb, bb, s, where in zip(resid, beta, steps, context):
         if rb > RESID_TOL * bb:
             raise SolveError(
                 f"{where}: residual {rb:.3e} exceeds 1e-10 of the right-hand side "
                 f"after {s} GMRES iterations"
             )
-    return np.ldexp(x.view(float), e).view(complex).reshape(shape)
+    return np.ldexp(x.view(float), e).view(complex)
 
 
 def _norms(rows: np.ndarray) -> list[float]:
@@ -130,8 +127,8 @@ def _norms(rows: np.ndarray) -> list[float]:
     return np.sqrt(np.vecdot(rows, rows).real).tolist()
 
 
-def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[float],
-           context: list[str], sizes: list[int]) -> tuple[np.ndarray, list[float], list[int], list[bool]]:
+def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[float], context: Sequence[str],
+           sizes: Sequence[int]) -> tuple[np.ndarray, list[float], list[int], list[bool]]:
     """GMRES on op(y) = rhs from y = 0 for a (B, n) stack, with beta[b] = |rhs[b]|.
 
     Row b takes at most min(sizes[b], MAX_ITER) Arnoldi steps.

@@ -358,7 +358,7 @@ def ode_regulator(spec: DiffOpSpec, windows) -> Callable[[np.ndarray], np.ndarra
     windows with the block and without it.
     """
     zeta, inverse = spec._low_regulator
-    big, windows, _ = _group(windows)
+    big, _ = window_slots(windows)
     reg = _regulator_diagonal(spec.symbol(big.modes()), zeta, big)
     if inverse is None or big.N < 2 * LOW_MODES + 1:
         return lambda y: reg * y
@@ -451,8 +451,10 @@ def window_slots(windows) -> tuple[BandWindow, list[slice]]:
 
     The stack follows the modes of the largest window, whose slot i holds
     mode i - n_minus, and row b holds window b's modes on its slots and zero
-    elsewhere.  Every smaller window's modes lie inside the largest's.  An
-    empty group raises ValueError.
+    elsewhere.  Every smaller window's modes lie inside the largest's.  This
+    is the only code that lays out a group: every product, regulator and
+    windows solve reads its layout here.  An empty group raises ValueError,
+    and a bare BandWindow is not a group and raises TypeError.
     """
     if not windows:
         raise ValueError("a group needs at least one window")
@@ -494,24 +496,6 @@ def _solve_windows(h: CoeffVec, product, regulator, windows, mode: str, cond_cap
     return [CoeffVec(-w.n_minus, row[s]) for row, s, w in zip(x, slots, windows)]
 
 
-def _group(windows) -> tuple[BandWindow, tuple[BandWindow, ...], np.ndarray]:
-    """(largest window, the windows, (B, N) boolean mask of the slots off each row's window)
-    for the group of windows a product or regulator acts on.
-
-    The group's (B, N) stack is laid out by window_slots; its windows may
-    have any sizes.  An empty group raises ValueError, and a bare BandWindow
-    is not a group and raises TypeError.  A row whose window is the largest
-    has no slot off it, so a lone window's mask is all False.
-    """
-    windows = tuple(windows)
-    big, slots = window_slots(windows)
-    # boolean, a sixteenth of a complex mask: a stack keeps one per product
-    spill = np.ones((len(windows), big.N), dtype=bool)
-    for row, s in zip(spill, slots):
-        row[s] = False
-    return big, windows, spill
-
-
 def _multiplication(coeffs: tuple, windows, mode: str) -> tuple[BandWindow, Callable[[np.ndarray], np.ndarray]]:
     """The largest of the windows, and the matrix-free v -> sum_j compress(a_j v_j) for a
     (B, len(coeffs), N) stack v on its modes.
@@ -524,12 +508,16 @@ def _multiplication(coeffs: tuple, windows, mode: str) -> tuple[BandWindow, Call
     window is zeroed in place.
     """
     check_mode(mode)
-    big, windows, spill = _group(windows)
+    big, slots = window_slots(windows)
     size = circulant_length(big.N)
     # difference d in slot d mod size: window slot i holds mode i - n_minus, and a
     # circulant depends only on slot differences
     cols = np.zeros((len(windows), len(coeffs), size), dtype=complex)
-    for col, v in zip(cols, windows):
+    # True on the slots off each row's window; boolean, a sixteenth of a complex mask: a
+    # stack keeps one per product
+    spill = np.ones((len(windows), big.N), dtype=bool)
+    for col, off, s, v in zip(cols, spill, slots, windows):
+        off[s] = False
         for c, row in zip(col, (_difference_row(a, v.N, mode) for a in coeffs)):
             c[:v.N], c[size - v.N + 1:] = row[v.N - 1:], row[:v.N - 1]
     symbols = np.fft.fft(cols)

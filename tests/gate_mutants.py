@@ -56,6 +56,8 @@ MUTANTS = (
      " and (len(last) + 1) * circulant_length(n) <= room", "", ("test_harness.py",)),
     ("no shift-collision check", "operators.py",
      "if np.any(bad):", "if False:", ("test_operators.py",)),
+    ("no condition cap check", "linsolve.py",
+     "if not cond_cap >= 1.0:", "if False:", ("test_validation.py",)),
 )
 
 

@@ -51,6 +51,7 @@ class TestCoeffVec:
         assert u == CoeffVec(-1, [0.5, 1.0, 2j])
         assert u != CoeffVec(-1, [0.5, 1.0, 3j])
         assert u != CoeffVec(0, [0.5, 1.0, 2j])
+        assert u != 1
 
 
 class TestProject:

@@ -420,12 +420,13 @@ class TestCli:
         {"experiment": "spectrum2", "lambda_cap": float("nan")},
         {"experiment": "spectrum2", "lambda_cap": 0},
         {"output_path": "o\u0000.csv"},
+        {"output_path": 5},
         {"mode": "nodal"},
         {"N_list": []},
     ], ids=["alpha-nan", "s-string", "N_list-string", "N_ref-inf", "lambda_cap-nan", "unwritable-output",
             "N_ref-solver-too-large", "N_ref-spectrum-too-large", "alpha-beyond-float",
-            "spectrum-lambda_cap-nan", "spectrum-lambda_cap-zero", "output-nul", "mode-unknown",
-            "N_list-empty"])
+            "spectrum-lambda_cap-nan", "spectrum-lambda_cap-zero", "output-nul", "output-not-string",
+            "mode-unknown", "N_list-empty"])
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, override):
         monkeypatch.chdir(tmp_path)
         raw = {"experiment": "ode3", "N_list": [16, 24], "N_ref": 65, "output_path": "o.csv", **override}

@@ -39,7 +39,7 @@ class TestSolveChecked:
         n = 60
         a = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = solve_checked(lambda v: np.matvec(a, v), f)
+        x = solve_checked(lambda v: np.matvec(a, v), f[None], lambda v: v, context=["dense"], sizes=[n])[0]
         assert np.linalg.norm(x - np.linalg.solve(a, f)) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("n", [16, 40])
@@ -49,10 +49,12 @@ class TestSolveChecked:
         # 40-mode solve takes 27 steps, so it grows the GMRES workspace
         d = np.linspace(1.0, 40.0, n) + 0j
         f = np.ones(n, dtype=complex)
-        x = solve_checked(lambda v: d * v, f, lambda v: v / np.sqrt(d), cond_cap=6.4)
+        x = solve_checked(lambda v: d * v, f[None], lambda v: v / np.sqrt(d), context=["diagonal"], sizes=[n],
+                          cond_cap=6.4)[0]
         assert np.allclose(x, f / d, rtol=1e-14)
         with pytest.raises(SolveError, match="condition estimate 6.325"):
-            solve_checked(lambda v: d * v, f, lambda v: v / np.sqrt(d), cond_cap=6.3)
+            solve_checked(lambda v: d * v, f[None], lambda v: v / np.sqrt(d), context=["diagonal"], sizes=[n],
+                          cond_cap=6.3)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e150, 1e300])
     def test_solution_scales_with_rhs(self, scale):
@@ -60,16 +62,16 @@ class TestSolveChecked:
         rng = np.random.default_rng(7)
         a = np.eye(16) + 0.2 * rng.standard_normal((16, 16)) / 4.0
         f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        x = solve_checked(lambda v: np.matvec(a, v), scale * f)
+        x = solve_checked(lambda v: np.matvec(a, v), scale * f[None], lambda v: v, context=["scaled"], sizes=[16])[0]
         assert np.linalg.norm(x / scale - np.linalg.solve(a, f)) <= 1e-13 * np.linalg.norm(x / scale)
 
     def test_singular_operator_reports_condition(self):
         d = np.array([0.0, 1.0, 2.0, 3.0], dtype=complex)
         with pytest.raises(SolveError, match="condition estimate"):
-            solve_checked(lambda v: d * v, np.ones(4, dtype=complex))
+            solve_checked(lambda v: d * v, np.ones((1, 4), dtype=complex), lambda v: v, context=["singular"], sizes=[4])
         # the zero operator leaves the Hessenberg matrix singular after one step
         with pytest.raises(SolveError, match="condition estimate inf exceeds cap"):
-            solve_checked(lambda v: 0 * v, np.ones(4, dtype=complex))
+            solve_checked(lambda v: 0 * v, np.ones((1, 4), dtype=complex), lambda v: v, context=["zero"], sizes=[4])
 
     @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
     def test_refinement_rescues_a_missed_residual(self, monkeypatch, mode):
@@ -92,23 +94,24 @@ class TestSolveChecked:
         # the cyclic shift is unitary, but GMRES makes no progress on it
         # before N steps, so the capped solve must fail the residual check
         n = MAX_ITER + 50
-        f = np.zeros(n, dtype=complex)
-        f[0] = 1.0
+        f = np.zeros((1, n), dtype=complex)
+        f[0, 0] = 1.0
         with pytest.raises(SolveError, match=f"residual .* after {MAX_ITER} GMRES iterations"):
-            solve_checked(lambda v: np.roll(v, 1), f)
+            solve_checked(lambda v: np.roll(v, 1, axis=1), f, lambda v: v, context=["shift"], sizes=[n])
         # capped at one step, diag(1, 1 + delta) keeps a residual delta / (2 sqrt 2) of (1, 1):
         # the check fails it at delta 1e-8, 25 times past its 1e-10 |rhs| bound, and passes
         # it at 1e-12, 280 times inside
         d = np.array([1.0, 1.0 + 1e-8])
         with pytest.raises(SolveError, match=r"residual 3\.536e-09 exceeds 1e-10 .* after 1 GMRES iterations"):
-            solve_checked(lambda v: d * v, np.ones(2, dtype=complex), sizes=[1])
+            solve_checked(lambda v: d * v, np.ones((1, 2), dtype=complex), lambda v: v, context=["capped"], sizes=[1])
         d = np.array([1.0, 1.0 + 1e-12])
-        assert np.allclose(solve_checked(lambda v: d * v, np.ones(2, dtype=complex), sizes=[1]), 1.0, rtol=1e-12)
+        assert np.allclose(solve_checked(lambda v: d * v, np.ones((1, 2), dtype=complex), lambda v: v,
+                                         context=["capped"], sizes=[1])[0], 1.0, rtol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(7,), (3, 7)])
+    @pytest.mark.parametrize("shape", [(1, 7), (3, 7)])
     def test_callables_see_only_stacks(self, shape):
-        # apply and regulator take (B, n) stacks, a vector right-hand side too, and
-        # the solution comes back in the right-hand side's shape
+        # apply and regulator take (B, n) stacks, a one-row stack too, and the
+        # solution comes back in the right-hand side's shape
         seen = []
 
         def spy(scale):
@@ -116,16 +119,17 @@ class TestSolveChecked:
 
         d = np.linspace(1.0, 3.0, 7)
         f = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) + 0.5j
-        x = solve_checked(spy(d), f, spy(1.0 / np.sqrt(d)))
+        x = solve_checked(spy(d), f, spy(1.0 / np.sqrt(d)), context=["row"] * shape[0], sizes=[7] * shape[0])
         assert x.shape == shape and set(seen) == {2}
         assert np.allclose(x, f / d, rtol=1e-13)
 
-    @pytest.mark.parametrize("shape", [(5,), (3, 5), (0, 3)], ids=["vector", "zero-stack", "empty-stack"])
+    @pytest.mark.parametrize("shape", [(1, 5), (3, 5), (0, 3)], ids=["one-row", "zero-stack", "empty-stack"])
     def test_zero_rhs_returns_zero(self, shape):
         # an all-zero or empty stack takes the general path: no GMRES step, and no
         # floating-point exception on the way
         with np.errstate(all="raise"):
-            x = solve_checked(lambda v: v, np.zeros(shape, dtype=complex), lambda v: -v)
+            x = solve_checked(lambda v: v, np.zeros(shape, dtype=complex), lambda v: -v, context=["zero"] * shape[0],
+                              sizes=[shape[1]] * shape[0])
         assert x.shape == shape and x.dtype == complex
         assert not x.any()
 
@@ -137,17 +141,17 @@ class TestSolveChecked:
         mixed[0] = 1.0 + 0.5j
 
         def solve(rhs):
-            return solve_checked(lambda v: d * v, rhs, lambda v: -v)
+            return solve_checked(lambda v: d * v, rhs, lambda v: -v, context=["row"] * len(rhs), sizes=[5] * len(rhs))
         assert solve(np.zeros((1, 5), dtype=complex))[0].tobytes() == solve(mixed)[1].tobytes()
 
     @pytest.mark.parametrize("bad", ["rhs", "operator"])
     def test_non_finite_input_raises(self, bad):
-        f = np.ones(4, dtype=complex)
+        f = np.ones((1, 4), dtype=complex)
         if bad == "rhs":
-            f[1] = np.nan
+            f[0, 1] = np.nan
         scale = np.array([1.0, np.nan, 1.0, 1.0]) if bad == "operator" else np.ones(4)
         with pytest.raises(SolveError, match="not finite"):
-            solve_checked(lambda v: scale * v, f)
+            solve_checked(lambda v: scale * v, f, lambda v: v, context=[bad], sizes=[4])
 
     def test_stacked_rows_match_their_single_solves(self, monkeypatch):
         # three diagonal systems on 13 modes: a spread of 13 values takes 13 steps;
@@ -168,12 +172,14 @@ class TestSolveChecked:
         d = np.stack([np.linspace(1.0, 40.0, 13), spec.symbol(w.modes()), np.full(13, 2.0)]).astype(complex)
         r = np.stack([1.0 / np.sqrt(d[0]), ode_regulator(spec, [w])(np.ones((1, 13), dtype=complex))[0], np.ones(13)])
         f = np.stack([np.ones(13), 1 + 0.1j * w.modes(), np.arange(13) - 3.5j])
-        x = solve_checked(lambda v: d * v, f, lambda v: r * v)
+        x = solve_checked(lambda v: d * v, f, lambda v: r * v, context=["spread", "shifted", "constant"],
+                          sizes=[13] * 3)
         stacked = passes[:]
         assert [steps for _, steps in stacked] == [[13, 10, 1], [0, 10, 0]]
         for b in range(3):
             passes.clear()
-            single = solve_checked(lambda v: d[b] * v, f[b], lambda v: r[b] * v)
+            single = solve_checked(lambda v: d[b] * v, f[b][None], lambda v: r[b] * v, context=["single"],
+                                   sizes=[13])[0]
             assert np.linalg.norm(x[b] - single) <= 1e-14 * np.linalg.norm(single)
             assert stacked[0][0][b] == pytest.approx(passes[0][0][0], rel=1e-14)
             assert sum(steps[b] for _, steps in stacked) == sum(steps[0] for _, steps in passes)
@@ -204,9 +210,10 @@ class TestSolveChecked:
         f = np.zeros((2, 40), dtype=complex)
         f[0, 0], f[1] = 1.0, 1.0
         failures = []
-        for solve in (lambda: solve_checked(small, f[0, :6], cond_cap=np.inf, context="small"),
-                      lambda: solve_checked(lambda v: np.stack([small(v[0]), d * v[1]]), f, cond_cap=np.inf,
-                                            context=["small", "big"], sizes=[6, 40])):
+        for solve in (lambda: solve_checked(small, f[:1, :6], lambda v: v, context=["small"], sizes=[6],
+                                            cond_cap=np.inf),
+                      lambda: solve_checked(lambda v: np.stack([small(v[0]), d * v[1]]), f, lambda v: v,
+                                            context=["small", "big"], sizes=[6, 40], cond_cap=np.inf)):
             with pytest.raises(SolveError) as failure:
                 solve()
             failures.append(str(failure.value))
@@ -219,12 +226,13 @@ class TestSolveChecked:
         # rows 1 and 2 are singular; the error names row 1's context
         d = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]], dtype=complex)
         with pytest.raises(SolveError, match="^second: condition estimate"):
-            solve_checked(lambda v: d * v, np.ones((3, 3)), context=["first", "second", "third"])
+            solve_checked(lambda v: d * v, np.ones((3, 3)), lambda v: v, context=["first", "second", "third"],
+                          sizes=[3] * 3)
 
     def test_zero_row_of_a_stack_is_zero(self):
         d = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
         f = np.array([[0.0, 0.0], [3.0, 8.0]], dtype=complex)
-        x = solve_checked(lambda v: d * v, f)
+        x = solve_checked(lambda v: d * v, f, lambda v: v, context=["zero", "nonzero"], sizes=[2, 2])
         assert np.array_equal(x[0], np.zeros(2)) and np.allclose(x[1], [1.0, 2.0], rtol=1e-15)
 
 

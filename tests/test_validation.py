@@ -48,14 +48,25 @@ def report(values, ell=2.0) -> EigenReport:
     (lambda: ExperimentConfig(experiment="x", alpha=1.0, N_list=[8], N_ref=16, output_path="x.csv"), ConfigError,
      "unknown experiment 'x'"),
     # row 1's operator is zero: with one name per row the stack raises "condition estimate inf"
-    (lambda: solve_checked(lambda v: np.array([[1.0], [0.0], [2.0]]) * v, np.ones((3, 4)), context=["only"]),
+    (lambda: solve_checked(lambda v: np.array([[1.0], [0.0], [2.0]]) * v, np.ones((3, 4)), lambda v: v,
+                           context=["only"], sizes=[4] * 3),
      ValueError, "context must give one name per row: 3 rows, 1 names"),
-    (lambda: solve_checked(lambda v: 2 * v, np.ones((2, 2, 3))), ValueError,
-     r"rhs must have shape \(n,\) or \(B, n\) with n >= 1, got \(2, 2, 3\)"),
-    (lambda: solve_checked(lambda v: 2 * v, np.array(1.0)), ValueError,
-     r"rhs must have shape \(n,\) or \(B, n\) with n >= 1, got \(\)"),
-    (lambda: solve_checked(lambda v: 2 * v, np.ones((2, 0))), ValueError,
-     r"rhs must have shape \(n,\) or \(B, n\) with n >= 1, got \(2, 0\)"),
+    (lambda: solve_checked(lambda v: 2 * v, np.ones((2, 2, 3)), lambda v: v, context=["a", "b"], sizes=[3, 3]),
+     ValueError, r"rhs must have shape \(B, n\) with n >= 1, got \(2, 2, 3\)"),
+    (lambda: solve_checked(lambda v: 2 * v, np.array(1.0), lambda v: v, context=["a"], sizes=[1]), ValueError,
+     r"rhs must have shape \(B, n\) with n >= 1, got \(\)"),
+    (lambda: solve_checked(lambda v: 2 * v, np.ones((2, 0)), lambda v: v, context=["a", "b"], sizes=[1, 1]),
+     ValueError, r"rhs must have shape \(B, n\) with n >= 1, got \(2, 0\)"),
+    (lambda: solve_checked(lambda v: 2 * v, np.ones(3), lambda v: v, context=["a"], sizes=[3]), ValueError,
+     r"rhs must have shape \(B, n\) with n >= 1, got \(3,\)"),
+    (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=[2.5]), ValueError,
+     r"sizes must give one integer in 1..3 per row: 1 rows, got \[2.5\]"),
+    (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=["3"]), ValueError,
+     r"sizes must give one integer in 1..3 per row: 1 rows, got \['3'\]"),
+    (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=[3],
+                           cond_cap=float("nan")), ValueError, "cond_cap must be at least 1, got nan"),
+    (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=[3], cond_cap=0.5),
+     ValueError, "cond_cap must be at least 1, got 0.5"),
     (lambda: window_data(ONE, [], "finite_section"), ValueError, "a group needs at least one window"),
     (lambda: ode_matvec(DiffOpSpec.from_orders({1: 1.0}), []), ValueError, "a group needs at least one window"),
     (lambda: solve_rhp_windows(JumpSpec(ONE), []), ValueError, "a group needs at least one window"),
@@ -63,7 +74,8 @@ def report(values, ell=2.0) -> EigenReport:
         "variable-order-k", "from-orders-empty", "operator-matrix-shape", "eigenvalue-count",
         "eigenvalues-descending", "distances-without-ell", "tail-scan-unbounded", "from-dict-empty",
         "padded-empty", "grid-size-zero", "unknown-experiment", "context-per-row",
-        "rhs-three-dimensional", "rhs-scalar", "rhs-no-columns", "window-data-no-windows",
+        "rhs-three-dimensional", "rhs-scalar", "rhs-no-columns", "rhs-vector", "size-not-integer",
+        "size-string", "cap-nan", "cap-below-one", "window-data-no-windows",
         "ode-matvec-no-windows", "rhp-windows-no-windows"])
 def test_rejects(call, exc, match):
     with pytest.raises(exc, match=match):
