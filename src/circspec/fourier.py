@@ -31,6 +31,13 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str) -> int:
+    """value as an int: an int or a numpy integer, not a bool; TypeError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BandWindow:
     """Mode window of size N covering -floor(N/2) .. floor((N-1)/2).
@@ -43,6 +50,7 @@ class BandWindow:
     N: int
 
     def __post_init__(self):
+        object.__setattr__(self, "N", _integer(self.N, "window size"))
         if self.N < 1:
             raise ValueError(f"window size must be >= 1, got {self.N}")
 
@@ -74,6 +82,7 @@ class CoeffVec:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "j_min", _integer(self.j_min, "j_min"))
         c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coeffs must be a nonempty 1-d array")
@@ -200,7 +209,7 @@ def align_windows(u: CoeffVec, v: CoeffVec) -> tuple[np.ndarray, np.ndarray, np.
 def diff_norm(u: CoeffVec, v: CoeffVec, s: float) -> float:
     """Sobolev norm of u - v on the union window."""
     modes, a, b = align_windows(u, v)
-    return sobolev_norm(CoeffVec(int(modes[0]), a - b), s)
+    return sobolev_norm(CoeffVec(modes[0], a - b), s)
 
 
 def synth_powerlaw(kind: str, alpha: float, window: BandWindow, epsilon: float = 0.0) -> CoeffVec:

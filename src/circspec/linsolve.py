@@ -8,21 +8,24 @@ its condition and the iteration count stay flat as the window grows.
 
 The right-hand side is a (B, n) stack of independent systems whose
 products act row by row, each row with its own name and its own size.
-The rows are solved in lockstep: each step applies
-one product to the stack and runs one stacked Gram-Schmidt pass and one
-normalisation, while every row keeps its own scaling, Givens recurrence
-(on Python scalars), stopping test, condition gate, residual check,
-refinement and step cap, min(its own size, MAX_ITER): a row that pads a
-smaller system with zeros stops where that system would stop alone.  A
-row that has converged, or reached its cap, is frozen: its basis vectors
-are zero from then on.  GMRES keeps k + 1 basis vectors per row
-after k steps, so a solve's memory is O(steps B n): the workspace starts at
-FIRST_STEPS steps and doubles when full.
+The rows are solved in lockstep: each step applies one product to the
+stack and runs one stacked Gram-Schmidt pass and one normalisation, while
+every row keeps its own scaling, stopping test, condition gate, residual
+check, refinement and step cap, min(its own size, MAX_ITER): a row that
+pads a smaller system with zeros stops where that system would stop
+alone.  A row that has converged, or reached its cap, is frozen: its basis
+vectors are zero from then on.  The stopping test reads the unit left null
+vector u of the row's (k + 1) x k Hessenberg matrix H, kept on Python
+scalars and extended by one entry a step: the GMRES residual is
+beta |u[0]|, the part of beta e_1 that no H y reaches.  GMRES keeps k + 1
+basis vectors per row after k steps, so a solve's memory is O(steps B n):
+the workspace starts at FIRST_STEPS steps and doubles when full.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,7 +82,8 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     count, n = rows.shape
     if len(context) != count:
         raise ValueError(f"context must give one name per row: {count} rows, {len(context)} names")
-    if len(sizes) != count or not all(isinstance(size, (int, np.integer)) and 1 <= size <= n for size in sizes):
+    if len(sizes) != count or not all(isinstance(size, (int, np.integer)) and not isinstance(size, bool)
+                                      and 1 <= size <= n for size in sizes):
         raise ValueError(f"sizes must give one integer in 1..{n} per row: {count} rows, got {sizes}")
     if not cond_cap >= 1.0:
         raise ValueError(f"cond_cap must be at least 1, got {cond_cap}")
@@ -143,12 +147,10 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[f
     m = max(limits, default=0)
     cap = min(m, FIRST_STEPS)
     basis = np.empty((count, cap + 1, n), dtype=complex)
-    # per row: the columns of the Hessenberg matrix, the Givens rotations that
-    # triangularise it, and the rotated beta e_1, whose last entry is the GMRES
-    # residual at the current step
+    # per row: the columns of the Hessenberg matrix H, and u_bar, the conjugate of the unit
+    # vector u with u^H H = 0; beta |u[0]| is the GMRES residual at the current step
     columns = [[] for _ in range(count)]
-    rotations = [[] for _ in range(count)]
-    g = [[complex(b)] for b in beta]
+    nulls = [[1.0] for _ in range(count)]
     met = [b == 0.0 for b in beta]
     live = [i for i in range(count) if not met[i]]
     basis[:, 0] = rhs * np.array([0.0 if b == 0.0 else 1.0 / b for b in beta], dtype=complex)[:, None]
@@ -174,21 +176,16 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[f
             if not math.isfinite(hn[i]):
                 raise SolveError(f"{context[i]}: operator is not finite")
             hn[i] = math.sqrt(hn[i])
-            col, gi, rot = cols[i], g[i], rotations[i]
-            columns[i].append(col + [hn[i]])
-            for j, (c, s) in enumerate(rot):
-                col[j], col[j + 1] = c * col[j] + s * col[j + 1], c * col[j + 1] - s.conjugate() * col[j]
-            a = col[k]
-            r = math.hypot(abs(a), hn[i])
-            if a == 0.0:
-                c, s = 0.0, 1.0 + 0j
-            else:
-                phase = a / abs(a)
-                c, s = abs(a) / r, phase * hn[i] / r
-            rot.append((c, s))
-            gi.append(-s.conjugate() * gi[k])
-            gi[k] = c * gi[k]
-            if abs(gi[k + 1]) <= GMRES_TOL * beta[i] or hn[i] == 0.0:
+            columns[i].append(cols[i] + [hn[i]])
+            if hn[i] > 0.0:
+                # with a = u_bar . h and r = |(a, hn)|, the unit (t u_bar, -a / r), t = hn / r, also
+                # annihilates the new column (h, hn), and the old columns, whose last entry is 0,
+                # stay annihilated; on hn = 0 the row has broken down, and r may be 0
+                a = sum(map(operator.mul, nulls[i], cols[i]))
+                r = math.hypot(abs(a), hn[i])
+                t = hn[i] / r
+                nulls[i] = [t * x for x in nulls[i]] + [-a / r]
+            if abs(nulls[i][0]) <= GMRES_TOL or hn[i] == 0.0:
                 met[i] = True
                 live.remove(i)
             elif k + 1 == limits[i]:
@@ -197,7 +194,7 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, beta: list[f
                 scale[i] = 1.0 / hn[i]
         if live:
             np.multiply(w, np.array(scale, dtype=complex)[:, None], out=basis[:, k + 1])
-    steps = [len(rot) for rot in rotations]
+    steps = [len(c) for c in columns]
     y = np.zeros((count, n), dtype=complex)
     cond = [1.0] * count
     for k in set(steps) - {0}:

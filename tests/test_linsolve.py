@@ -27,10 +27,37 @@ from circspec import (
     solve_rhp_windows,
 )
 from circspec.harness import STACK_MODES, _stacks
-from circspec.linsolve import MAX_ITER, solve_checked
+from circspec.linsolve import GMRES_TOL, MAX_ITER, solve_checked
 from circspec.problems import rhp_jump, third_order_ode
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def krylov_residuals(a: np.ndarray, f: np.ndarray) -> list[float]:
+    """min |f - a x| / |f| over the k-step Krylov space of a and f, for k = 1..len(f).
+
+    Arnoldi with classical Gram-Schmidt run twice, and lstsq on each (k + 1) x k
+    Hessenberg matrix; lstsq's residual sum of squares keeps its relative accuracy
+    down to 1e-16, where |beta e_1 - H y| formed explicitly is off by up to 3 times.
+    """
+    n = len(f)
+    beta = np.linalg.norm(f)
+    basis = np.zeros((n + 1, n), dtype=complex)
+    hess = np.zeros((n + 1, n), dtype=complex)
+    basis[0] = f / beta
+    out = []
+    for k in range(n):
+        w = a @ basis[k]
+        for _ in range(2):
+            h = basis[:k + 1].conj() @ w
+            w = w - h @ basis[:k + 1]
+            hess[:k + 1, k] += h
+        hess[k + 1, k] = np.linalg.norm(w)
+        basis[k + 1] = w / hess[k + 1, k]
+        rhs = np.zeros(k + 2, dtype=complex)
+        rhs[0] = beta
+        out.append(np.sqrt(np.linalg.lstsq(hess[:k + 2, :k + 1], rhs, rcond=None)[1][0]) / beta)
+    return out
 
 
 class TestSolveChecked:
@@ -221,6 +248,49 @@ class TestSolveChecked:
         for text in failures:
             assert re.fullmatch(r"small: residual \S+ exceeds 1e-10 of the right-hand side after 6 GMRES iterations",
                                 text)
+
+    def test_rows_stop_where_a_dense_oracle_first_meets_the_tolerance(self, monkeypatch):
+        # I + eps E in stacks of 1 to 4 rows of mixed sizes: each row stops at the first k whose
+        # least-squares residual over the k-step Krylov space, from this test's own Arnoldi, is
+        # at most GMRES_TOL beta, or at its own size.  A draw with a residual before that stop
+        # within a factor of 2 of the line is skipped: two Arnoldi variants give residuals that
+        # agree to 7% there, while the residual falls 10 to 100 times a step, so a factor of 10
+        # would skip nearly every row that stops on the tolerance
+        steps = []
+        gmres = circspec.linsolve._gmres
+
+        def recording(*args):
+            out = gmres(*args)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(circspec.linsolve, "_gmres", recording)
+        rng = np.random.default_rng(30)
+        checked = early = 0
+        for _ in range(100):
+            sizes = rng.integers(8, 25, size=rng.integers(1, 5)).tolist()
+            mats, rhs = [], np.zeros((len(sizes), max(sizes)), dtype=complex)
+            want, near = [], False
+            for b, n in enumerate(sizes):
+                e = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+                mats.append(np.eye(n) + rng.choice([0.02, 0.05, 0.1]) * e)
+                rhs[b, :n] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                resid = krylov_residuals(mats[-1], rhs[b, :n])
+                want.append(next((k for k, r in enumerate(resid, 1) if r <= GMRES_TOL), n))
+                near |= any(GMRES_TOL / 2 < r < 2 * GMRES_TOL for r in resid[:want[-1]])
+            if near:
+                continue
+
+            def apply(v):
+                return np.stack([np.pad(a @ row[:len(a)], (0, v.shape[1] - len(a))) for a, row in zip(mats, v)])
+
+            steps.clear()
+            solve_checked(apply, rhs, lambda v: v, context=[f"row {b}" for b in range(len(sizes))], sizes=sizes)
+            assert steps == [want], sizes
+            checked += 1
+            early += sum(k < n for k, n in zip(want, sizes))
+        # enough draws, and enough rows that stop on the tolerance before their size
+        assert checked >= 20 and early >= 20
 
     def test_stack_names_its_first_failing_row(self):
         # rows 1 and 2 are singular; the error names row 1's context

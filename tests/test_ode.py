@@ -257,6 +257,13 @@ class TestMatrixFreeSolve:
         coarse = solve_ode(spec, rhs, BandWindow(401))
         assert diff_norm(u, coarse, 0.0) <= 1e-6
 
+    def test_numpy_integer_window_solves_like_int(self):
+        spec, rhs = third_order_ode(1.51, 129)
+        want = solve_ode(spec, rhs, BandWindow(41))
+        got = solve_ode(spec, rhs, BandWindow(np.int64(41)))
+        assert got.j_min == want.j_min
+        assert np.array_equal(got.coeffs, want.coeffs)
+
 
 class TestWindowStacks:
     @pytest.mark.parametrize("mode, sizes", [("finite_section", (33, 40, 50, 64)), ("finite_section", (9, 16)),

@@ -43,6 +43,9 @@ def report(values, ell=2.0) -> EigenReport:
     (lambda: truncation_coincidence(DiffOpSpec.from_orders({0: 1.0}), BandWindow(3), 10.0), ValueError,
      "tail symbol scan did not terminate"),
     (lambda: CoeffVec.from_dict({}), ValueError, "need at least one coefficient"),
+    (lambda: BandWindow(2.5), TypeError, "window size must be an integer, got 2.5"),
+    (lambda: BandWindow(True), TypeError, "window size must be an integer, got True"),
+    (lambda: CoeffVec(1.5, [1]), TypeError, "j_min must be an integer, got 1.5"),
     (lambda: ONE.padded(3, 2), ValueError, "empty window"),
     (lambda: evaluate_on_grid(ONE, 0), ValueError, "grid size must be >= 1, got 0"),
     (lambda: ExperimentConfig(experiment="x", alpha=1.0, N_list=[8], N_ref=16, output_path="x.csv"), ConfigError,
@@ -63,6 +66,8 @@ def report(values, ell=2.0) -> EigenReport:
      r"sizes must give one integer in 1..3 per row: 1 rows, got \[2.5\]"),
     (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=["3"]), ValueError,
      r"sizes must give one integer in 1..3 per row: 1 rows, got \['3'\]"),
+    (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=[True]), ValueError,
+     r"sizes must give one integer in 1..3 per row: 1 rows, got \[True\]"),
     (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=[3],
                            cond_cap=float("nan")), ValueError, "cond_cap must be at least 1, got nan"),
     (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=[3], cond_cap=0.5),
@@ -73,9 +78,10 @@ def report(values, ell=2.0) -> EigenReport:
 ], ids=["q-above-k", "const-coeffs-length", "zero-leading-coefficient", "variable-not-coeffvec",
         "variable-order-k", "from-orders-empty", "operator-matrix-shape", "eigenvalue-count",
         "eigenvalues-descending", "distances-without-ell", "tail-scan-unbounded", "from-dict-empty",
+        "window-size-float", "window-size-bool", "j-min-float",
         "padded-empty", "grid-size-zero", "unknown-experiment", "context-per-row",
         "rhs-three-dimensional", "rhs-scalar", "rhs-no-columns", "rhs-vector", "size-not-integer",
-        "size-string", "cap-nan", "cap-below-one", "window-data-no-windows",
+        "size-string", "size-bool", "cap-nan", "cap-below-one", "window-data-no-windows",
         "ode-matvec-no-windows", "rhp-windows-no-windows"])
 def test_rejects(call, exc, match):
     with pytest.raises(exc, match=match):
