@@ -221,7 +221,7 @@ def synth_powerlaw(kind: str, alpha: float, window: BandWindow, epsilon: float =
 
     alpha must exceed 1/2 so the full-line coefficients are square-summable.
     """
-    if alpha <= 0.5:
+    if not alpha > 0.5:
         raise ValueError(f"alpha must exceed 1/2, got {alpha}")
     j = window.modes()
     base = (1.0 + np.abs(j)) ** (-float(alpha))

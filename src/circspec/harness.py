@@ -165,11 +165,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown, key=str)}; "
                               f"{experiment} reads {', '.join(reads)}")
-        merged = {**reads, **raw}
-        try:
-            return cls(**merged)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**{**reads, **raw})
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":

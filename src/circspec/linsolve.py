@@ -35,7 +35,7 @@ __all__ = ["SolveError", "solve_checked"]
 # cap on Arnoldi steps per solve, not a workspace size: the shipped problems
 # take 6 (ode3) and 3 (rhp), and the workspace grows with the steps taken
 MAX_ITER = 200
-# Arnoldi steps the GMRES workspace holds before it first doubles
+# Arnoldi steps the GMRES workspace holds before it first doubles; any value gives the same results
 FIRST_STEPS = 16
 # GMRES stops once its residual estimate falls below this fraction of |rhs|
 GMRES_TOL = 1e-14
@@ -118,7 +118,7 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
         resid = _norms(apply(x) - rows)
         steps = [s + m for s, m in zip(steps, more)]
     for rb, bb, s, where in zip(resid, beta, steps, context):
-        if rb > RESID_TOL * bb:
+        if not rb <= RESID_TOL * bb:
             raise SolveError(
                 f"{where}: residual {rb:.3e} exceeds 1e-10 of the right-hand side "
                 f"after {s} GMRES iterations"

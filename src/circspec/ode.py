@@ -46,8 +46,9 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
     estimate (see solve_checked).  An operator without a variable part is
     diagonal: a mode where its symbol vanishes is solvable iff the data
     there is below GMRES_TOL |rhs|, the stopping tolerance under which
-    GMRES does not tell data from zero, and then carries zero.  This is
-    solve_ode_windows on the one window.
+    GMRES does not tell data from zero, and then carries a value of that
+    data's size, not zero (2e-17 for -d^2 with data 1e-17 at mode 0 and 1
+    at mode 1).  This is solve_ode_windows on the one window.
     """
     return solve_ode_windows(spec, f, [w], mode, cond_cap)[0]
 

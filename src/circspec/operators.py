@@ -107,8 +107,9 @@ class DiffOpSpec:
 
     The constant part applies c_j d^j/dtheta^j for j = q..k (c_k != 0); the
     variable part applies a_j(theta) d^j/dtheta^j for j = 0..p with p < k.
-    `ell` records the coefficient regularity used by eigenvalue-error
-    rescalings; it is metadata, not used in assembly.
+    Every coefficient must be finite (ValueError otherwise).  `ell` records
+    the coefficient regularity used by eigenvalue-error rescalings; it is
+    metadata, not used in assembly.
     """
 
     k: int
@@ -125,10 +126,14 @@ class DiffOpSpec:
             raise ValueError("const_coeffs must cover orders q..k")
         if cc[-1] == 0:
             raise ValueError("leading constant coefficient must be nonzero")
+        if not np.all(np.isfinite(cc)):
+            raise ValueError(f"constant coefficients must be finite, got {cc}")
         vc = tuple(self.var_coeffs)
-        for a in vc:
+        for j, a in enumerate(vc):
             if not isinstance(a, CoeffVec):
                 raise TypeError("variable coefficients must be CoeffVec")
+            if not np.all(np.isfinite(a.coeffs)):
+                raise ValueError(f"variable coefficient of order {j} must be finite")
         if len(vc) - 1 >= self.k:
             raise ValueError("variable orders must stay below k")
         object.__setattr__(self, "const_coeffs", cc)
@@ -186,7 +191,8 @@ class JumpSpec:
     coefficient the grid minimum is the computable surrogate for
     nonvanishing.  A g that is not a CoeffVec raises TypeError; one that is
     not finite or vanishes on the grid raises ValueError before anything
-    divides by it.
+    divides by it, and so does one so close to zero there that 1/g, or its
+    interpolant, is not finite.
     """
 
     g: CoeffVec
@@ -198,13 +204,18 @@ class JumpSpec:
         if not isinstance(self.g, CoeffVec):
             raise TypeError("jump function g must be CoeffVec")
         vals = _certified_samples(self.g)
+        # a g that is tiny but not zero on the grid overflows 1/g or its interpolant
+        with np.errstate(over="ignore", invalid="ignore"):
+            inverse = interpolate(1.0 / vals - 1.0)
+        if not np.all(np.isfinite(inverse.coeffs)):
+            raise ValueError("jump function vanishes on the evaluation grid: 1/g is not finite")
         increments = np.angle(np.roll(vals, -1) / vals)
         lo = min(self.g.j_min, 0)
         h = self.g.padded(lo, max(self.g.j_max, 0))
         h[-lo] -= 1.0
         object.__setattr__(self, "min_modulus", float(np.abs(vals).min()))
         object.__setattr__(self, "winding", int(np.rint(increments.sum() / (2.0 * np.pi))))
-        object.__setattr__(self, "_perturbations", (CoeffVec(lo, h), interpolate(1.0 / vals - 1.0)))
+        object.__setattr__(self, "_perturbations", (CoeffVec(lo, h), inverse))
 
 
 def _certified_samples(g: CoeffVec) -> np.ndarray:
@@ -227,6 +238,7 @@ def _certified_samples(g: CoeffVec) -> np.ndarray:
         mm = float(np.abs(vals).min())
         if mm <= 0.0:
             raise ValueError("jump function vanishes on the evaluation grid")
+        # every point lies within pi/n of a sample, so pi L / n would prove it too: 2 pi keeps a margin
         if n == cap or mm > 2.0 * np.pi * lipschitz / n:
             return vals
         n = min(2 * n, cap)
@@ -307,6 +319,7 @@ def choose_zeta(spec: DiffOpSpec) -> complex:
     reach = max(_symbol_reach(spec, radius, 2 ** 20), 0) if spec.k else 0
     symbols = spec.symbol(np.arange(-reach, reach + 1))
     for cand in ZETA_CANDIDATES:
+        # >= would do as well: either bounds every regulator entry by 1 / LOW_BLOCK_MARGIN
         if np.min(np.abs(symbols - cand)) > LOW_BLOCK_MARGIN:
             return cand
     raise ValueError(f"no shift among the {len(ZETA_CANDIDATES)} candidates clears the symbol set")

@@ -7,6 +7,13 @@ evaluates weighted resolvent norms on point grids, and compares the
 compressed spectrum with the spectrum of the compression extended by the
 untouched diagonal tail.
 
+How far a value lies from a set is read from sorted neighbours, never from a
+pairwise distance matrix: _nearest takes the distance from each value to the
+nearest value of an ascending set from the two set values around its
+insertion index, for the eigenvalue matching and for both directions of the
+Hausdorff distance, and cluster centers are apart when the gaps between
+neighbours of the sorted centers are.
+
 The Hermitian eigensolve applies one Rayleigh-quotient pass to the computed
 eigenvectors.  For the graded matrices assembled here that drops the
 absolute eigenvalue error near the origin from order eps*||A|| to roughly
@@ -73,8 +80,8 @@ class EigenReport:
         e = np.array(self.eigenvalues, dtype=float)
         if e.shape != (self.window.N,):
             raise ValueError("eigenvalue count must equal the window size")
-        if np.any(np.diff(e) < 0):
-            raise ValueError("eigenvalues must be ascending")
+        if not (np.all(np.isfinite(e)) and np.all(np.diff(e) >= 0)):
+            raise ValueError("eigenvalues must be ascending and finite")
         e.setflags(write=False)
         object.__setattr__(self, "eigenvalues", e)
 
@@ -89,7 +96,8 @@ def eigenpairs_self_adjoint(spec: DiffOpSpec, w: BandWindow) -> tuple[EigenRepor
     """Eigenvalues and eigenvectors of the Hermitian window compression.
 
     Rejects matrices with asymmetry beyond 1e-12 (relative to the largest
-    entry); verifies ||A v - lambda v|| <= 1e-10 ||A|| for every pair.
+    entry); verifies ||A v - lambda v|| <= 1e-10 ||A|| for every pair.  A
+    NaN fails both checks.
     The eigenvectors are real when the compression is assembled real (an
     order-0 variable part with real coefficients, a real symbol) and
     complex otherwise.
@@ -123,16 +131,17 @@ def _eigensolve(spec: DiffOpSpec, w: BandWindow) -> tuple[EigenReport, tuple, np
     """
     a = _compression_entries(spec, w)
     scale = max(1.0, float(np.abs(a).max()))
-    asym = max(float(np.abs(a[i:i + 64] - a[:, i:i + 64].conj().T).max()) for i in range(0, w.N, 64))
-    if asym > 1e-12 * scale:
+    # np.max, unlike max, keeps a NaN, and a NaN fails every gate here
+    asym = np.max([np.abs(a[i:i + 64] - a[:, i:i + 64].conj().T).max() for i in range(0, w.N, 64)])
+    if not asym <= 1e-12 * scale:
         raise ValueError(f"compressed operator is not Hermitian: asymmetry {asym:.2e}")
     split = w.N >= 3 and w.N % 2 == 1 and np.array_equal(a, a[::-1, ::-1])
     blocks = _flip_blocks(a) if split else (a,)
     evals, vecs = zip(*(np.linalg.eigh(b) for b in blocks))
     lams, resids = zip(*(_rayleigh(b, y) for b, y in zip(blocks, vecs)))
-    anorm = max(max(float(np.abs(e).max()) for e in evals), 1.0)
-    worst = max(float(r.max()) for r in resids)
-    if worst > 1e-10 * anorm:
+    anorm = np.max([1.0, *(np.abs(e).max() for e in evals)])
+    worst = np.max([r.max() for r in resids])
+    if not worst <= 1e-10 * anorm:
         raise ValueError(f"eigenpair residual {worst:.2e} exceeds 1e-10 * ||A||")
     refined = np.concatenate(lams)
     order = np.argsort(refined, kind="stable")
@@ -189,25 +198,31 @@ def _unflip(ye: np.ndarray, yo: np.ndarray, order: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def _nearest(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Distance from each value of x to the nearest value of ref, which must be ascending
+    and nonempty.
+
+    The nearest value is one of the two around x's insertion index in ref, so
+    only those two differences are taken: the same |x - ref_i| that a full
+    pairwise matrix holds, less the ones that cannot be its row minimum.
+    """
+    i = np.searchsorted(ref, x)
+    return np.minimum(np.abs(x - ref[np.maximum(i - 1, 0)]), np.abs(x - ref[np.minimum(i, len(ref) - 1)]))
+
+
 def eigen_distances(test: EigenReport, reference: EigenReport) -> EigenDistances:
     """Nearest-distance matching of test eigenvalues against a finer reference.
 
-    d_j = min_i |lam_j - ref_i|, read from the two reference values around
-    lam_j's insertion index in the ascending reference, and the rescaled
-    error d_j N^ell (2 + |lam_j|)^(-ell/k) uses the test window size and the
-    test eigenvalue.
+    d_j = min_i |lam_j - ref_i|, read by _nearest from the ascending
+    reference, and the rescaled error d_j N^ell (2 + |lam_j|)^(-ell/k) uses
+    the test window size and the test eigenvalue.
     """
     if reference.window.N < test.window.N:
         raise ValueError("reference window must not be smaller than the test window")
     if test.ell is None:
         raise ValueError("test report carries no coefficient-regularity metadata")
     lam = test.eigenvalues
-    ref = reference.eigenvalues
-    # ref ascends, so the nearest value is a neighbour of lam's insertion index
-    i = np.searchsorted(ref, lam)
-    below = ref[np.maximum(i - 1, 0)]
-    above = ref[np.minimum(i, len(ref) - 1)]
-    dist = np.minimum(np.abs(lam - below), np.abs(lam - above))
+    dist = _nearest(lam, reference.eigenvalues)
     rescaled = dist * float(test.window.N) ** test.ell * (2.0 + np.abs(lam)) ** (-test.ell / test.k)
     return EigenDistances(lam=lam, dist=dist, rescaled=rescaled)
 
@@ -224,11 +239,9 @@ def cluster_multiplicities(report: EigenReport, centers, delta: float) -> np.nda
         raise ValueError(f"delta must be finite and positive, got {delta}")
     if not np.all(np.isfinite(centers)):
         raise ValueError("cluster centers must be finite")
-    if len(centers) > 1:
-        diffs = np.abs(centers[:, None] - centers[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        if diffs.min() <= 3.0 * delta:
-            raise ValueError("cluster centers overlap: pairwise separation must exceed 3*delta")
+    # once sorted, each center's nearest other center is a neighbour
+    if len(centers) > 1 and np.diff(np.sort(centers)).min() <= 3.0 * delta:
+        raise ValueError("cluster centers overlap: pairwise separation must exceed 3*delta")
     lam = report.eigenvalues
     return np.array([int(np.sum(np.abs(lam - c) < delta)) for c in centers])
 
@@ -267,12 +280,13 @@ class TruncationCoincidence:
 
 
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """Hausdorff distance of two ascending sets, by _nearest each way: 0 when both are
+    empty, inf when one is."""
     if len(a) == 0 and len(b) == 0:
         return 0.0
     if len(a) == 0 or len(b) == 0:
         return float("inf")
-    d = np.abs(a[:, None] - b[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return float(max(_nearest(a, b).max(), _nearest(b, a).max()))
 
 
 def truncation_coincidence(spec: DiffOpSpec, w: BandWindow, c: float) -> TruncationCoincidence:
@@ -282,8 +296,11 @@ def truncation_coincidence(spec: DiffOpSpec, w: BandWindow, c: float) -> Truncat
     outside the window, so its full-space spectrum is the compression
     spectrum united with the tail symbol values.  Inside the stated ball the
     two sets coincide once the tail symbols have outgrown the radius; the
-    report carries both sets and their Hausdorff distance.
+    report carries both sets and their Hausdorff distance.  A c that is not
+    finite raises ValueError.
     """
+    if not np.isfinite(float(c)):
+        raise ValueError(f"c must be finite, got {c}")
     report = eigenvalues_self_adjoint(spec, w)
     radius = float(c) * float(w.N) ** (spec.k - 1)
     inside = report.eigenvalues[np.abs(report.eigenvalues) <= radius]

@@ -1,8 +1,8 @@
-"""Loosen each correctness gate in turn and check that the tests that own it fail.
+"""Mutate each correctness gate and pinned bound in turn and check that the tests that own it fail.
 
 Run from anywhere with ``python tests/gate_mutants.py``; pytest does not
 collect this file.  Each mutant is one text edit of one file under src/,
-made in a temporary copy of src/, never in the working tree, that loosens
+made in a temporary copy of src/, never in the working tree, that moves
 one bound (most by a factor of 10^4 or more) or deletes one check.  The copy is
 put first on PYTHONPATH and ``pytest -x -q`` runs the test files that own
 the gate.  A mutant is killed when a test fails (pytest exit 1), and
@@ -32,9 +32,9 @@ MUTANTS = (
     ("residual check 1e-10 -> 1e-6", "linsolve.py",
      "RESID_TOL = 1e-10", "RESID_TOL = 1e-6", ("test_linsolve.py",)),
     ("eigenpair gate 1e-10 -> 1e-4", "spectrum.py",
-     "if worst > 1e-10 * anorm:", "if worst > 1e-4 * anorm:", ("test_spectrum.py",)),
+     "if not worst <= 1e-10 * anorm:", "if not worst <= 1e-4 * anorm:", ("test_spectrum.py",)),
     ("Hermitian check 1e-12 -> 1e-6", "spectrum.py",
-     "if asym > 1e-12 * scale:", "if asym > 1e-6 * scale:", ("test_spectrum.py",)),
+     "if not asym <= 1e-12 * scale:", "if not asym <= 1e-6 * scale:", ("test_spectrum.py",)),
     ("no condition cap", "linsolve.py",
      "if not math.isfinite(c) or c > cond_cap:", "if False:", ("test_linsolve.py",)),
     ("no refinement", "linsolve.py",
@@ -58,6 +58,19 @@ MUTANTS = (
      "if np.any(bad):", "if False:", ("test_operators.py",)),
     ("no condition cap check", "linsolve.py",
      "if not cond_cap >= 1.0:", "if False:", ("test_validation.py",)),
+    ("on-circle band 1e-14 -> 1e-6", "rhp.py",
+     "if not abs(r - 1.0) <= 1e-14:", "if not abs(r - 1.0) <= 1e-6:", ("test_rhp.py",)),
+    ("a row at the fit floor excluded", "harness.py",
+     "if e >= ERROR_FLOOR]", "if e > ERROR_FLOOR]", ("test_harness.py",)),
+    ("no invalid-operation guard in the sweep", "harness.py",
+     'np.errstate(over="raise", divide="raise", invalid="raise")', 'np.errstate(over="raise", divide="raise")',
+     ("test_harness.py",)),
+    ("dead-mode tolerance GMRES_TOL |rhs| -> 0", "ode.py",
+     "> GMRES_TOL * np.linalg.norm(row[s])", "> 0", ("test_ode.py",)),
+    ("shift scan cap 2^20 -> 2^10", "operators.py",
+     "_symbol_reach(spec, radius, 2 ** 20)", "_symbol_reach(spec, radius, 2 ** 10)", ("test_operators.py",)),
+    ("shift-collision tolerance 1e-12 -> 0", "operators.py",
+     "np.abs(gaps) <= 1e-12 * max(1.0, abs(zeta))", "np.abs(gaps) <= 0.0", ("test_operators.py",)),
 )
 
 

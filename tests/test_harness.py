@@ -61,6 +61,12 @@ class TestFitSlope:
         rows = [(10, 1e-2), (100, 1e-4), (1000, 1e-15)]
         assert fit_slope(rows) == pytest.approx(-2.0)
 
+    def test_row_at_the_floor_is_fitted(self):
+        # only errors below ERROR_FLOOR are excluded; one exactly at it is fitted
+        slope, used, excluded = harness._fit_detail([(10, 1e-10), (100, harness.ERROR_FLOOR)])
+        assert used == [0, 1] and excluded == []
+        assert slope == pytest.approx(-2.0)
+
     @pytest.mark.parametrize("rows, match", [
         ([(10, 1e-3), (10, 2e-3)], "need at least 2 rows at distinct N"),
         ([(0, 1e-3), (10, 2e-3)], "N must be positive and finite"),
@@ -290,6 +296,14 @@ class TestRunExperiment:
         assert messages[0] == messages[1] == (
             f"ode3 failed at N=20: {mode} solve at N=20: condition estimate inf "
             "(symbol vanishes at mode -10 with nonzero data)")
+
+    def test_invalid_operation_in_a_measure_raises(self, tmp_path):
+        # inf - inf is an invalid operation, the first floating-point exception of this
+        # sweep: the measure runs under the solve's guard, which raises it
+        cfg = small_ode3(tmp_path, N_list=[16, 24], N_ref=65)
+        inf = np.float64(np.inf)
+        with pytest.raises(SolveError, match="ode3 failed at N=16: invalid value encountered"):
+            harness._sweep(lambda: None, lambda p, ns: [inf] * len(ns), lambda u, ref: u - ref, cfg)
 
     def test_reference_insensitivity(self, tmp_path):
         # moving the reference from 2001 to 1501 must not materially change

@@ -178,6 +178,15 @@ class TestFailureModes:
             u = solve_ode(spec, CoeffVec.from_dict({1: 1.0, 2: 1.0}), BandWindow(n), mode=mode)
             assert all(abs(u.get(m) - expected.get(m, 0.0)) <= 1e-14 for m in BandWindow(n).modes())
 
+    @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
+    def test_dead_mode_data_below_the_tolerance_solves(self, mode):
+        # the symbol m^2 of -d^2 vanishes at m = 0, where the data 1e-17 is below
+        # GMRES_TOL |rhs| = 1e-14: the solve goes on, and mode 0 comes back at roundoff size
+        spec = DiffOpSpec.from_orders({2: -1.0})
+        u = solve_ode(spec, CoeffVec.from_dict({0: 1e-17, 1: 1.0}), BandWindow(9), mode=mode)
+        assert abs(u.get(0)) <= 1e-16
+        assert abs(u.get(1) - 1.0) <= 1e-14
+
     @pytest.mark.parametrize("n", [9, 64])
     @pytest.mark.parametrize("mode", ["finite_section", "collocation"])
     def test_small_dead_mode_data_reported(self, n, mode):

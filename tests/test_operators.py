@@ -29,6 +29,7 @@ from circspec import (
     window_data,
     window_slots,
 )
+import circspec.operators
 from circspec.operators import LOW_MODES, OperatorMatrix, _compression_entries, _symbol_reach, _toeplitz_entries
 from circspec.problems import rhp_jump, second_order_operator, third_order_ode, third_order_operator
 
@@ -132,6 +133,16 @@ class TestChooseZeta:
         zeta = choose_zeta(DiffOpSpec.from_orders({3: -1.0j}))
         assert zeta == 1j
 
+    def test_scan_reaches_far_modes(self):
+        # the symbols 1e-7 m^2 reach 1 only near m = 3162, past a scan of 2^10 modes
+        assert choose_zeta(DiffOpSpec.from_orders({2: -1e-7})) == -1.0
+
+    def test_no_candidate_clears(self, monkeypatch):
+        # -d^2 + 1 has the symbol m^2 + 1, which is 1 at m = 0
+        monkeypatch.setattr(circspec.operators, "ZETA_CANDIDATES", (1 + 0j,))
+        with pytest.raises(ValueError, match="no shift among the 1 candidates clears the symbol set"):
+            choose_zeta(DiffOpSpec.from_orders({2: -1.0, 0: 1.0}))
+
 
 class TestSymbolReach:
     def test_scan_stops_at_the_root_bound(self, monkeypatch):
@@ -176,6 +187,12 @@ class TestRegulator:
         spec = DiffOpSpec.from_orders({2: -1.0})
         with pytest.raises(ValueError, match="collides"):
             assemble_regulator(spec, 4.0, BandWindow(9))
+
+    def test_rejects_near_collision(self):
+        # m^2 + 1e-13 misses the shift 1 at m = +-1 by 1e-13, inside the 1e-12 tolerance
+        spec = DiffOpSpec.from_orders({2: -1.0, 0: 1e-13})
+        with pytest.raises(ValueError, match="shift 1.0 collides with the symbol value at mode -1"):
+            assemble_regulator(spec, 1.0, BandWindow(9))
 
 
 class TestFiniteSectionOde:

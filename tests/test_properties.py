@@ -2,7 +2,8 @@
 slice windowing against index-array reads, the Toeplitz entries against their definition,
 the regulator shift against the symbol values it must avoid, the symbol scan bound
 against a brute-force scan, the jump check's winding
-and minimum modulus against Rouche's theorem, solve_ode and solve_rhp against dense
+and minimum modulus against Rouche's theorem, the spectrum's nearest-value rules against
+pairwise distance matrices, solve_ode and solve_rhp against dense
 LU over random operators of the paper's class, stacked solves against their windows'
 own solves, the harness's stacks against their budget, and stacked sweeps against
 window-by-window sweeps."""
@@ -21,6 +22,7 @@ from circspec import (  # noqa: E402
     BandWindow,
     CoeffVec,
     DiffOpSpec,
+    EigenReport,
     ExperimentConfig,
     JumpSpec,
     SolveError,
@@ -29,6 +31,7 @@ from circspec import (  # noqa: E402
     assemble_finite_section_ode,
     assemble_sie,
     choose_zeta,
+    cluster_multiplicities,
     eigenvalues_self_adjoint,
     evaluate_on_grid,
     harness,
@@ -39,6 +42,7 @@ from circspec import (  # noqa: E402
     solve_ode_windows,
     solve_rhp,
     solve_rhp_windows,
+    spectrum,
 )
 from circspec.operators import _symbol_reach, _toeplitz_entries, circulant_length  # noqa: E402
 from circspec.problems import rhp_jump  # noqa: E402
@@ -225,6 +229,41 @@ def test_jump_winding_and_modulus_follow_rouche(case):
     jump = JumpSpec(g)
     assert jump.winding == k
     assert c_abs - r_sum - 1e-12 * c_abs <= jump.min_modulus <= c_abs + r_sum + 1e-12 * c_abs
+
+
+# values on a quarter grid tie often, with each other and with 3 delta for the deltas below
+set_values = st.one_of(st.integers(-12, 12).map(lambda k: k / 4), st.floats(-1e3, 1e3, allow_nan=False))
+ascending = st.lists(set_values, max_size=40).map(lambda v: np.sort(np.array(v, dtype=float)))
+
+
+def _pairwise_hausdorff(a, b):
+    """The Hausdorff distance of two finite sets from their full distance matrix."""
+    if len(a) == 0 and len(b) == 0:
+        return 0.0
+    if len(a) == 0 or len(b) == 0:
+        return float("inf")
+    d = np.abs(a[:, None] - b[None, :])
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(a=ascending, b=ascending, centers=st.lists(set_values, max_size=8),
+                  delta=st.one_of(st.sampled_from([0.25 / 3, 0.5 / 3, 1.0 / 3, 0.1]), st.floats(1e-3, 10.0)))
+def test_nearest_value_rules_match_pairwise_matrices(a, b, centers, delta):
+    # _hausdorff reads each set's nearest values by sorted neighbours, and the cluster
+    # overlap check the sorted centers' neighbour gaps: both give the bits, and the
+    # decision, that the pairwise distance matrices give
+    assert spectrum._hausdorff(a, b) == _pairwise_hausdorff(a, b)
+    c = np.array(centers, dtype=float)
+    diffs = np.abs(c[:, None] - c[None, :])
+    np.fill_diagonal(diffs, np.inf)
+    overlap = len(c) > 1 and diffs.min() <= 3.0 * delta
+    report = EigenReport(window=BandWindow(len(a) or 1), eigenvalues=a if len(a) else [0.0], ell=None, k=2, p=0)
+    if overlap:
+        with pytest.raises(ValueError, match="cluster centers overlap"):
+            cluster_multiplicities(report, centers, delta)
+    else:
+        assert len(cluster_multiplicities(report, centers, delta)) == len(c)
 
 
 def _check_against_dense(solve, a, rhs):

@@ -118,6 +118,16 @@ class TestEvaluatePhi:
         # phi(inf) = 1: every term of the minus sum has a negative power of z
         assert evaluate_phi(sol, complex(np.inf)) == 1.0
 
+    def test_point_just_off_the_circle_takes_its_side(self):
+        # |z| = 1 + 1e-9 is off the circle (the on-circle band is 1e-14 wide), so with no
+        # side it takes the minus value: for g = 1 + 0.1/z on 9 modes that is 1/g(1) = 1/1.1
+        # summed to 1 - 0.1 + 0.01 - 0.001 + 0.0001 = 0.9091, where phi+ = 1
+        sol = solve_rhp(one_sided_jump(0.1, "below"), BandWindow(9))
+        z = 1.0 + 1e-9
+        assert abs(evaluate_phi(sol, z) - evaluate_phi(sol, 1.0, side="minus")) <= 1e-9
+        assert abs(evaluate_phi(sol, z) - 0.9091) <= 1e-9
+        assert abs(evaluate_phi(sol, 1.0, side="plus") - 1.0) <= 1e-12
+
     def test_on_circle_requires_side(self):
         sol = solve_rhp(JumpSpec(CoeffVec.from_dict({0: 1.0})), BandWindow(8))
         with pytest.raises(ValueError, match="side"):

@@ -111,6 +111,35 @@ class TestEigenvaluesSelfAdjoint:
             else:
                 assert eigenvalues_self_adjoint(spec, BandWindow(33)).eigenvalues.shape == (33,)
 
+    def test_nan_fails_both_gates(self, monkeypatch):
+        # a NaN in A's second 64-row block fails the Hermitian check, and a NaN pair
+        # residual in the odd block, the second of the split, fails the residual gate
+        spec = second_order_operator(2.51, 129)
+        entries, rayleigh = spectrum._compression_entries, spectrum._rayleigh
+
+        def nan_entry(s, w):
+            a = entries(s, w)
+            a[100, 3] = np.nan
+            return a
+
+        monkeypatch.setattr(spectrum, "_compression_entries", nan_entry)
+        with pytest.raises(ValueError, match="not Hermitian: asymmetry nan"):
+            eigenvalues_self_adjoint(spec, BandWindow(129))
+        monkeypatch.undo()
+        blocks = []
+
+        def nan_residual(a, vecs):
+            lam, resid = rayleigh(a, vecs)
+            blocks.append(len(a))
+            if len(blocks) == 2:
+                resid[-1] = np.nan
+            return lam, resid
+
+        monkeypatch.setattr(spectrum, "_rayleigh", nan_residual)
+        with pytest.raises(ValueError, match="eigenpair residual nan"):
+            eigenvalues_self_adjoint(spec, BandWindow(129))
+        assert blocks == [65, 64]
+
     def test_rejects_flip_symmetric_non_hermitian(self):
         # g_{-1} = g_1 = 0.3i makes the compression flip-symmetric but not Hermitian
         g = CoeffVec.from_dict({-1: 0.3j, 0: 0.5, 1: 0.3j})

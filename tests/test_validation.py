@@ -1,5 +1,7 @@
 """Input validation across the package: each bad input raises the stated exception and message."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,12 @@ from circspec import (
     DiffOpSpec,
     EigenReport,
     ExperimentConfig,
+    SolveError,
     eigen_distances,
+    eigenvalues_self_adjoint,
     evaluate_on_grid,
+    solve_ode,
+    synth_powerlaw,
     truncation_coincidence,
 )
 from circspec.linsolve import solve_checked
@@ -86,3 +92,35 @@ def report(values, ell=2.0) -> EigenReport:
 def test_rejects(call, exc, match):
     with pytest.raises(exc, match=match):
         call()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda: eigenvalues_self_adjoint(DiffOpSpec.from_orders({2: -1.0}, var=(CoeffVec(0, [NAN]),)), BandWindow(9)),
+     ValueError, "variable coefficient of order 0 must be finite"),
+    (lambda: solve_checked(lambda v: v * np.nan, np.zeros((1, 3)), lambda v: v, context=["a"], sizes=[3]),
+     SolveError, "a: residual nan exceeds"),
+    (lambda: synth_powerlaw("g", NAN, BandWindow(9)), ValueError, "alpha must exceed 1/2, got nan"),
+    (lambda: truncation_coincidence(DiffOpSpec.from_orders({2: -1.0}), BandWindow(9), NAN), ValueError,
+     "c must be finite, got nan"),
+    (lambda: EigenReport(window=BandWindow(3), eigenvalues=[NAN] * 3, ell=None, k=2, p=0), ValueError,
+     "eigenvalues must be ascending and finite"),
+    (lambda: EigenReport(window=BandWindow(1), eigenvalues=[NAN], ell=None, k=2, p=0), ValueError,
+     "eigenvalues must be ascending and finite"),
+    (lambda: solve_ode(DiffOpSpec.from_orders({2: -1.0, 0: NAN}), ONE, BandWindow(9)), ValueError,
+     r"constant coefficients must be finite, got \(\(nan\+0j\)"),
+    (lambda: solve_ode(DiffOpSpec.from_orders({2: INF}), ONE, BandWindow(9)), ValueError,
+     r"constant coefficients must be finite, got \(\(inf\+0j\),\)"),
+    (lambda: JumpSpec(CoeffVec(0, [1e-307])), ValueError, "jump function vanishes on the evaluation grid"),
+    (lambda: JumpSpec(CoeffVec(0, [1e-320])), ValueError, "jump function vanishes on the evaluation grid"),
+], ids=["eigenvalues-nan-potential", "zero-row-nan-operator", "powerlaw-nan-alpha", "coincidence-nan-c",
+        "report-nan-eigenvalues", "report-one-nan-eigenvalue", "ode-nan-constant", "ode-inf-leading",
+        "jump-fft-overflow", "jump-reciprocal-overflow"])
+def test_rejects_non_finite(call, exc, match):
+    # a non-finite input is rejected where it enters, and no numpy warning escapes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(exc, match=match):
+            call()
