@@ -140,7 +140,9 @@ class CoeffVec:
 
     def folded(self, n: int) -> np.ndarray:
         """Slot r holds the sum of the u_j with j = r mod n: whole periods of n modes,
-        zero-padded from a multiple of n, summed as the rows of one reshape."""
+        zero-padded from a multiple of n, summed as the rows of one reshape.  n must be >= 1."""
+        if n < 1:
+            raise ValueError(f"fold length must be >= 1, got {n}")
         lo = self.j_min // n * n
         periods = (self.j_max - lo) // n + 1
         return self.padded(lo, lo + periods * n - 1).reshape(periods, n).sum(axis=0)
@@ -194,9 +196,13 @@ def evaluate_on_grid(u: CoeffVec, n: int) -> np.ndarray:
 
 
 def sobolev_norm(u: CoeffVec, s: float) -> float:
-    """Weighted coefficient norm (sum |u_j|^2 (1+|j|)^(2s))^(1/2) over u's window."""
-    w = sobolev_weights(u.modes(), s)
-    return float(np.sqrt(np.sum((np.abs(u.coeffs) * w) ** 2)))
+    """Weighted coefficient norm (sum |u_j|^2 (1+|j|)^(2s))^(1/2) over u's window;
+    ValueError, with numpy's text, when it overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return float(np.sqrt(np.sum((np.abs(u.coeffs) * sobolev_weights(u.modes(), s)) ** 2)))
+    except FloatingPointError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def align_windows(u: CoeffVec, v: CoeffVec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -41,6 +41,8 @@ FIRST_STEPS = 16
 GMRES_TOL = 1e-14
 # a true residual above this fraction of |rhs| fails the solve
 RESID_TOL = 1e-10
+# a regulated operator whose condition estimate exceeds this fails the solve
+COND_CAP = 1e12
 
 
 class SolveError(RuntimeError):
@@ -49,7 +51,7 @@ class SolveError(RuntimeError):
 
 def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
                   regulator: Callable[[np.ndarray], np.ndarray], *, context: Sequence[str],
-                  sizes: Sequence[int], cond_cap: float = 1e12) -> np.ndarray:
+                  sizes: Sequence[int]) -> np.ndarray:
     """Solve apply(x) = rhs by GMRES on apply(R y) = rhs; return x = R y.
 
     rhs is a (B, n) stack of right-hand sides with n >= 1 (ValueError
@@ -60,8 +62,8 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     whose rows hold smaller systems padded with zeros: one integer in 1..n
     per row.  The condition estimate of a row is sigma_max / sigma_min of
     its Arnoldi Hessenberg matrix of the regulated operator x -> apply(R x),
-    gated against cond_cap, which must be at least 1, as every estimate is.
-    A context, sizes or cond_cap that breaks these rules raises ValueError.
+    gated against COND_CAP, read when the solve runs.  A context or sizes
+    that breaks these rules raises ValueError.
 
     GMRES stops a row when its residual estimate falls below GMRES_TOL
     relative to its right-hand side, or after min(size, MAX_ITER)
@@ -69,7 +71,7 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     When the estimate was met but the true residual exceeds 1e-10 relative
     to the right-hand side, one more GMRES pass solves for the residual and
     corrects x (iterative refinement).  Raises SolveError naming the
-    condition estimate when it exceeds cond_cap, when the true residual then
+    condition estimate when it exceeds COND_CAP, when the true residual then
     still exceeds 1e-10 relative to the right-hand side, and when the
     right-hand side or the operator's output is not finite; in a stack the
     first row that fails a check raises.  A zero row is solved by zero
@@ -85,8 +87,6 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     if len(sizes) != count or not all(isinstance(size, (int, np.integer)) and not isinstance(size, bool)
                                       and 1 <= size <= n for size in sizes):
         raise ValueError(f"sizes must give one integer in 1..{n} per row: {count} rows, got {sizes}")
-    if not cond_cap >= 1.0:
-        raise ValueError(f"cond_cap must be at least 1, got {cond_cap}")
     tops = np.abs(rows.view(float)).max(axis=1, initial=0.0).tolist()
     for top, where in zip(tops, context):
         if not math.isfinite(top):
@@ -102,9 +102,9 @@ def solve_checked(apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
 
     y, cond, steps, met = _gmres(op, rows, beta, context, sizes)
     for c, where in zip(cond, context):
-        if not math.isfinite(c) or c > cond_cap:
+        if not math.isfinite(c) or c > COND_CAP:
             raise SolveError(
-                f"{where}: condition estimate {c:.3e} exceeds cap {cond_cap:.1e} "
+                f"{where}: condition estimate {c:.3e} exceeds cap {COND_CAP:.1e} "
                 "(operator not invertible at this truncation, or truncation too small)"
             )
     x = regulator(y)

@@ -33,8 +33,7 @@ from .operators import assemble_collocation_ode, assemble_finite_section_ode  # 
 __all__ = ["solve_ode", "solve_ode_windows", "exact_constant_solve", "SolveError"]
 
 
-def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
-              mode: str = "finite_section", cond_cap: float = 1e12) -> CoeffVec:
+def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow, mode: str = "finite_section") -> CoeffVec:
     """Solve the compressed equation on the window of w.
 
     finite_section solves (L0 + P L1) u = P f with P the window truncation;
@@ -42,7 +41,7 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
     operator and the right-hand side alike.  The low-mode block of the
     regulator is the finite-section compression's inverse in both modes; in
     collocation it is off by the aliased coefficients, which only costs
-    iterations.  cond_cap bounds the regulated operator's condition
+    iterations.  linsolve.COND_CAP bounds the regulated operator's condition
     estimate (see solve_checked).  An operator without a variable part is
     diagonal: a mode where its symbol vanishes is solvable iff the data
     there is below GMRES_TOL |rhs|, the stopping tolerance under which
@@ -50,11 +49,10 @@ def solve_ode(spec: DiffOpSpec, f: CoeffVec, w: BandWindow,
     data's size, not zero (2e-17 for -d^2 with data 1e-17 at mode 0 and 1
     at mode 1).  This is solve_ode_windows on the one window.
     """
-    return solve_ode_windows(spec, f, [w], mode, cond_cap)[0]
+    return solve_ode_windows(spec, f, [w], mode)[0]
 
 
-def solve_ode_windows(spec: DiffOpSpec, f: CoeffVec, windows, mode: str = "finite_section",
-                      cond_cap: float = 1e12) -> list[CoeffVec]:
+def solve_ode_windows(spec: DiffOpSpec, f: CoeffVec, windows, mode: str = "finite_section") -> list[CoeffVec]:
     """solve_ode on each window, as one regulated GMRES on the windows' (B, N) stack.
 
     The windows may have any sizes; each row is solved, checked and gated
@@ -72,7 +70,7 @@ def solve_ode_windows(spec: DiffOpSpec, f: CoeffVec, windows, mode: str = "finit
             if np.any(hit):
                 raise SolveError(f"{mode} solve at N={w.N}: condition estimate inf (symbol vanishes at mode "
                                  f"{int(w.modes()[np.argmax(hit)])} with nonzero data)")
-    return _solve_windows(f, product, ode_regulator(spec, windows), windows, mode, cond_cap, "solve")
+    return _solve_windows(f, product, ode_regulator(spec, windows), windows, mode, "solve")
 
 
 def exact_constant_solve(spec: DiffOpSpec, f: CoeffVec) -> CoeffVec:

@@ -109,7 +109,8 @@ class DiffOpSpec:
     variable part applies a_j(theta) d^j/dtheta^j for j = 0..p with p < k.
     Every coefficient must be finite (ValueError otherwise).  `ell` records
     the coefficient regularity used by eigenvalue-error rescalings; it is
-    metadata, not used in assembly.
+    metadata, not used in assembly, and must be None or finite (ValueError
+    otherwise).
     """
 
     k: int
@@ -136,6 +137,8 @@ class DiffOpSpec:
                 raise ValueError(f"variable coefficient of order {j} must be finite")
         if len(vc) - 1 >= self.k:
             raise ValueError("variable orders must stay below k")
+        if self.ell is not None and not np.isfinite(self.ell):
+            raise ValueError(f"ell must be None or finite, got {self.ell}")
         object.__setattr__(self, "const_coeffs", cc)
         object.__setattr__(self, "var_coeffs", vc)
 
@@ -157,12 +160,17 @@ class DiffOpSpec:
         return any(a.coeffs.any() for a in self.var_coeffs)
 
     def symbol(self, m) -> np.ndarray:
-        """Constant-part symbol sum_j c_j (i m)^j at integer modes m."""
+        """Constant-part symbol sum_j c_j (i m)^j at integer modes m; ValueError, with
+        numpy's text, when it overflows."""
         m = np.asarray(m)
         im = 1j * m
         out = np.zeros(m.shape, dtype=complex)
-        for j, c in zip(range(self.q, self.k + 1), self.const_coeffs):
-            out += c * im ** j
+        try:
+            with np.errstate(over="raise"):
+                for j, c in zip(range(self.q, self.k + 1), self.const_coeffs):
+                    out += c * im ** j
+        except FloatingPointError as exc:
+            raise ValueError(str(exc)) from exc
         return out
 
     @cached_property
@@ -492,8 +500,7 @@ def window_data(h: CoeffVec, windows, mode: str) -> tuple[np.ndarray, list[slice
     return rhs, slots
 
 
-def _solve_windows(h: CoeffVec, product, regulator, windows, mode: str, cond_cap: float,
-                   what: str) -> list[CoeffVec]:
+def _solve_windows(h: CoeffVec, product, regulator, windows, mode: str, what: str) -> list[CoeffVec]:
     """The windows solve both solvers share: product(x) = h compressed to each window of a
     group, right-regulated by regulator, as one solve_checked on the group's (B, N) stack.
 
@@ -504,8 +511,8 @@ def _solve_windows(h: CoeffVec, product, regulator, windows, mode: str, cond_cap
     fails raises naming its N.  Returns one CoeffVec per window.
     """
     rhs, slots = window_data(h, windows, mode)
-    x = solve_checked(product, rhs, regulator, cond_cap=cond_cap,
-                      context=[f"{mode} {what} at N={w.N}" for w in windows], sizes=[w.N for w in windows])
+    x = solve_checked(product, rhs, regulator, context=[f"{mode} {what} at N={w.N}" for w in windows],
+                      sizes=[w.N for w in windows])
     return [CoeffVec(-w.n_minus, row[s]) for row, s, w in zip(x, slots, windows)]
 
 

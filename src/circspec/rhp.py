@@ -46,24 +46,21 @@ class RHSolution:
     window: BandWindow
 
 
-def solve_rhp(jump: JumpSpec, w: BandWindow, mode: str = "finite_section",
-              cond_cap: float = 1e12) -> RHSolution:
+def solve_rhp(jump: JumpSpec, w: BandWindow, mode: str = "finite_section") -> RHSolution:
     """Solve the compressed singular integral equation for the density u.
 
     The right-hand side is g - 1, truncated to the window (finite_section)
     or interpolated from the N-point grid, which folds it mod N
-    (collocation).  A jump with nonzero
-    winding gives an operator of nonzero Fredholm index, which has no
-    unique solution; it is rejected before solving.  The solve is
-    right-regulated by operators.sie_regulator, and cond_cap bounds the
-    regulated operator's condition estimate (see solve_checked).  This is
-    solve_rhp_windows on the one window.
+    (collocation).  A jump with nonzero winding gives an operator of nonzero
+    Fredholm index, which has no unique solution; it is rejected before
+    solving.  The solve is right-regulated by operators.sie_regulator, and
+    linsolve.COND_CAP bounds the regulated operator's condition estimate
+    (see solve_checked).  This is solve_rhp_windows on the one window.
     """
-    return solve_rhp_windows(jump, [w], mode, cond_cap)[0]
+    return solve_rhp_windows(jump, [w], mode)[0]
 
 
-def solve_rhp_windows(jump: JumpSpec, windows, mode: str = "finite_section",
-                      cond_cap: float = 1e12) -> list[RHSolution]:
+def solve_rhp_windows(jump: JumpSpec, windows, mode: str = "finite_section") -> list[RHSolution]:
     """solve_rhp on each window, as one regulated GMRES on the windows' (B, N) stack.
 
     The windows may have any sizes; each row is solved, checked and gated
@@ -78,7 +75,7 @@ def solve_rhp_windows(jump: JumpSpec, windows, mode: str = "finite_section",
         raise SolveError(f"{mode} SIE solve at N={windows[0].N}: condition estimate inf (jump winding number "
                          f"{jump.winding}, nonzero Fredholm index)")
     us = _solve_windows(jump._perturbations[0], product, sie_regulator(jump, windows, mode), windows, mode,
-                        cond_cap, "SIE solve")
+                        "SIE solve")
     return [RHSolution(u=u, window=w) for u, w in zip(us, windows)]
 
 

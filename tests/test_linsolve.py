@@ -70,18 +70,18 @@ class TestSolveChecked:
         assert np.linalg.norm(x - np.linalg.solve(a, f)) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("n", [16, 40])
-    def test_regulator_ratio_scales_condition(self, n):
+    def test_regulator_ratio_scales_condition(self, monkeypatch, n):
         # with R = diag(d)^(-1/2), GMRES sees A R = diag(d)^(1/2) on all n modes,
         # and the estimate is its condition number sqrt(40 / 1) = 6.325; the
         # 40-mode solve takes 27 steps, so it grows the GMRES workspace
         d = np.linspace(1.0, 40.0, n) + 0j
         f = np.ones(n, dtype=complex)
-        x = solve_checked(lambda v: d * v, f[None], lambda v: v / np.sqrt(d), context=["diagonal"], sizes=[n],
-                          cond_cap=6.4)[0]
+        monkeypatch.setattr(circspec.linsolve, "COND_CAP", 6.4)
+        x = solve_checked(lambda v: d * v, f[None], lambda v: v / np.sqrt(d), context=["diagonal"], sizes=[n])[0]
         assert np.allclose(x, f / d, rtol=1e-14)
+        monkeypatch.setattr(circspec.linsolve, "COND_CAP", 6.3)
         with pytest.raises(SolveError, match="condition estimate 6.325"):
-            solve_checked(lambda v: d * v, f[None], lambda v: v / np.sqrt(d), context=["diagonal"], sizes=[n],
-                          cond_cap=6.3)
+            solve_checked(lambda v: d * v, f[None], lambda v: v / np.sqrt(d), context=["diagonal"], sizes=[n])
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e150, 1e300])
     def test_solution_scales_with_rhs(self, scale):
@@ -237,10 +237,10 @@ class TestSolveChecked:
         f = np.zeros((2, 40), dtype=complex)
         f[0, 0], f[1] = 1.0, 1.0
         failures = []
-        for solve in (lambda: solve_checked(small, f[:1, :6], lambda v: v, context=["small"], sizes=[6],
-                                            cond_cap=np.inf),
+        monkeypatch.setattr(circspec.linsolve, "COND_CAP", np.inf)
+        for solve in (lambda: solve_checked(small, f[:1, :6], lambda v: v, context=["small"], sizes=[6]),
                       lambda: solve_checked(lambda v: np.stack([small(v[0]), d * v[1]]), f, lambda v: v,
-                                            context=["small", "big"], sizes=[6, 40], cond_cap=np.inf)):
+                                            context=["small", "big"], sizes=[6, 40])):
             with pytest.raises(SolveError) as failure:
                 solve()
             failures.append(str(failure.value))

@@ -21,6 +21,7 @@ from circspec import (
     solve_ode_windows,
     sobolev_norm,
 )
+import circspec.linsolve
 import circspec.ode
 import circspec.operators
 from circspec.operators import LOW_MODES, choose_zeta, ode_regulator
@@ -159,14 +160,16 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="a group needs at least one window"):
             solve_ode_windows(spec, f, [])
 
-    def test_condition_cap_is_configurable(self):
+    def test_condition_cap_is_configurable(self, monkeypatch):
         # -d^2 + 1 at N=9, regulated by (L0 + 1)^(-1), is (m^2 + 1) / (m^2 + 2):
         # data on all nine modes gives the estimate (17/18) / (1/2) = 1.889
         spec = DiffOpSpec.from_orders({2: -1.0, 0: 1.0})
         f = CoeffVec.from_dict({m: 1.0 for m in range(-4, 5)})
-        solve_ode(spec, f, BandWindow(9), cond_cap=1e3)
+        monkeypatch.setattr(circspec.linsolve, "COND_CAP", 1e3)
+        solve_ode(spec, f, BandWindow(9))
+        monkeypatch.setattr(circspec.linsolve, "COND_CAP", 1.5)
         with pytest.raises(SolveError, match="condition estimate 1.889"):
-            solve_ode(spec, f, BandWindow(9), cond_cap=1.5)
+            solve_ode(spec, f, BandWindow(9))
 
     @pytest.mark.parametrize("n", [9, 64])
     def test_dead_mode_avoided(self, n):
@@ -371,10 +374,11 @@ class TestUniformStability:
             return lambda x: calls.append(1) or product(x)
 
         monkeypatch.setattr(circspec.ode, "ode_matvec", counting)
+        monkeypatch.setattr(circspec.linsolve, "COND_CAP", 1.25)
         spec, rhs = third_order_ode(1.51, 20001)
         for n in (33, 401, 2001, 20001):
             calls.clear()
-            solve_ode(spec, rhs, BandWindow(n), mode=mode, cond_cap=1.25)
+            solve_ode(spec, rhs, BandWindow(n), mode=mode)
             assert len(calls) - 1 <= 6, n
 
 

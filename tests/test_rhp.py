@@ -20,6 +20,7 @@ from circspec import (
     solve_rhp_windows,
     winding_number,
 )
+import circspec.linsolve
 import circspec.operators
 import circspec.rhp
 from circspec.problems import rhp_jump
@@ -313,10 +314,11 @@ class TestUniformStability:
         # A R = (C+ - g C-)(C+ - M(1/g) C-) is the identity plus a compact operator:
         # its estimate (below 1.0002) and the Arnoldi steps stay flat in N
         calls = counting_products(monkeypatch)
+        monkeypatch.setattr(circspec.linsolve, "COND_CAP", 1.001)
         jump = rhp_jump(1.51, 0.01, 20001)
         for n in (33, 401, 2001, 20001):
             calls.clear()
-            solve_rhp(jump, BandWindow(n), mode=mode, cond_cap=1.001)
+            solve_rhp(jump, BandWindow(n), mode=mode)
             assert len(calls) - 1 == 3, n
 
     @pytest.mark.parametrize("mode", ["finite_section", "collocation"])

@@ -20,6 +20,7 @@ from circspec import (
     synth_powerlaw,
     truncation_coincidence,
 )
+from circspec.fourier import diff_norm, sobolev_norm
 from circspec.linsolve import solve_checked
 from circspec.operators import JumpSpec, OperatorMatrix, ode_matvec, window_data
 from circspec.rhp import solve_rhp_windows
@@ -74,21 +75,19 @@ def report(values, ell=2.0) -> EigenReport:
      r"sizes must give one integer in 1..3 per row: 1 rows, got \['3'\]"),
     (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=[True]), ValueError,
      r"sizes must give one integer in 1..3 per row: 1 rows, got \[True\]"),
-    (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=[3],
-                           cond_cap=float("nan")), ValueError, "cond_cap must be at least 1, got nan"),
-    (lambda: solve_checked(lambda v: 2 * v, np.ones((1, 3)), lambda v: v, context=["a"], sizes=[3], cond_cap=0.5),
-     ValueError, "cond_cap must be at least 1, got 0.5"),
     (lambda: window_data(ONE, [], "finite_section"), ValueError, "a group needs at least one window"),
     (lambda: ode_matvec(DiffOpSpec.from_orders({1: 1.0}), []), ValueError, "a group needs at least one window"),
     (lambda: solve_rhp_windows(JumpSpec(ONE), []), ValueError, "a group needs at least one window"),
+    (lambda: CoeffVec(0, [1.0, 2.0]).folded(0), ValueError, "fold length must be >= 1, got 0"),
+    (lambda: CoeffVec(0, [1.0, 2.0]).folded(-1), ValueError, "fold length must be >= 1, got -1"),
 ], ids=["q-above-k", "const-coeffs-length", "zero-leading-coefficient", "variable-not-coeffvec",
         "variable-order-k", "from-orders-empty", "operator-matrix-shape", "eigenvalue-count",
         "eigenvalues-descending", "distances-without-ell", "tail-scan-unbounded", "from-dict-empty",
         "window-size-float", "window-size-bool", "j-min-float",
         "padded-empty", "grid-size-zero", "unknown-experiment", "context-per-row",
         "rhs-three-dimensional", "rhs-scalar", "rhs-no-columns", "rhs-vector", "size-not-integer",
-        "size-string", "size-bool", "cap-nan", "cap-below-one", "window-data-no-windows",
-        "ode-matvec-no-windows", "rhp-windows-no-windows"])
+        "size-string", "size-bool", "window-data-no-windows",
+        "ode-matvec-no-windows", "rhp-windows-no-windows", "folded-zero", "folded-negative"])
 def test_rejects(call, exc, match):
     with pytest.raises(exc, match=match):
         call()
@@ -115,9 +114,16 @@ NAN, INF = float("nan"), float("inf")
      r"constant coefficients must be finite, got \(\(inf\+0j\),\)"),
     (lambda: JumpSpec(CoeffVec(0, [1e-307])), ValueError, "jump function vanishes on the evaluation grid"),
     (lambda: JumpSpec(CoeffVec(0, [1e-320])), ValueError, "jump function vanishes on the evaluation grid"),
+    (lambda: solve_ode(DiffOpSpec.from_orders({2: 1e308}, var=(CoeffVec(-1, [0.1, 1.0, 0.1]),)), ONE,
+                       BandWindow(9)), ValueError, "^overflow encountered in multiply$"),
+    (lambda: sobolev_norm(CoeffVec(-50, np.ones(101)), 400.0), ValueError, "^overflow encountered in power$"),
+    (lambda: diff_norm(CoeffVec(-50, np.ones(101)), ONE, 400.0), ValueError, "^overflow encountered in power$"),
+    (lambda: DiffOpSpec.from_orders({2: -1.0}, ell=NAN), ValueError, "ell must be None or finite, got nan"),
+    (lambda: DiffOpSpec.from_orders({2: -1.0}, ell=INF), ValueError, "ell must be None or finite, got inf"),
 ], ids=["eigenvalues-nan-potential", "zero-row-nan-operator", "powerlaw-nan-alpha", "coincidence-nan-c",
         "report-nan-eigenvalues", "report-one-nan-eigenvalue", "ode-nan-constant", "ode-inf-leading",
-        "jump-fft-overflow", "jump-reciprocal-overflow"])
+        "jump-fft-overflow", "jump-reciprocal-overflow", "ode-symbol-overflow", "sobolev-norm-overflow",
+        "diff-norm-overflow", "ell-nan", "ell-inf"])
 def test_rejects_non_finite(call, exc, match):
     # a non-finite input is rejected where it enters, and no numpy warning escapes first
     with warnings.catch_warnings():
